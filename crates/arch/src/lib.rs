@@ -66,7 +66,6 @@ mod error;
 mod grid;
 mod ilp_route;
 mod oracle;
-mod parallel;
 mod placement;
 mod reservation;
 mod route_plan;
@@ -81,8 +80,7 @@ pub use error::ArchError;
 pub use grid::{ConnectionGrid, GridCoord, GridEdgeId, NodeId};
 pub use ilp_route::{route_with_ilp, IlpRoutingProblem};
 pub use oracle::{OracleCache, RoutingOracle};
-pub use parallel::Parallelism;
-pub use placement::{place_devices, place_devices_threaded, Placement, PlacementOptions};
+pub use placement::{place_devices, Placement, PlacementOptions};
 pub use reservation::{Interval, ReservationCalendar, ReservationTable};
 pub use route_plan::validate_route_plan;
 pub use routing::{RoutedPath, Router, RouterStats, RoutingOptions};

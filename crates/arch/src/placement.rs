@@ -25,26 +25,18 @@ use crate::transport::TransportTask;
 
 /// Options for the placement stage.
 ///
-/// `Deserialize` is hand-written (not derived) so that documents from
-/// before the multi-start annealer existed — which lack the `starts`
-/// field — still load with the single-start behaviour they were written
-/// under.
+/// `Deserialize` is hand-written (not derived) so that older documents
+/// still load: a missing `warm_start` defaults on, and the retired
+/// multi-start field `starts` is accepted only as `1`, the single chain
+/// this placer runs.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PlacementOptions {
     /// Run the simulated-annealing refinement after greedy placement.
     pub refine: bool,
-    /// Number of annealing moves per start.
+    /// Number of annealing moves.
     pub annealing_moves: usize,
     /// RNG seed for the refinement (placement is deterministic in this seed).
     pub seed: u64,
-    /// Independent annealing starts. Each start refines the greedy
-    /// placement with its own RNG stream split from `seed`
-    /// ([`split_seed`](crate::parallel::split_seed)); the winner is the
-    /// start with the lowest cost, ties broken by start index, so the
-    /// result is deterministic no matter how many threads refine the starts
-    /// concurrently. The default of 1 reproduces the single-chain annealer
-    /// (and its committed goldens) exactly.
-    pub starts: usize,
     /// Allow a warm start: when an edit-loop caller supplies a prior
     /// placement whose inputs (grid, traffic matrix, these options) are
     /// identical to the current ones, the placer adopts it instead of
@@ -63,7 +55,6 @@ impl Default for PlacementOptions {
             refine: true,
             annealing_moves: 2_000,
             seed: 0xC0FFEE,
-            starts: 1,
             warm_start: true,
         }
     }
@@ -71,15 +62,23 @@ impl Default for PlacementOptions {
 
 impl serde::Deserialize for PlacementOptions {
     fn from_json(value: &serde::Json) -> Result<Self, serde::JsonError> {
+        // Documents written while multi-start annealing existed may carry
+        // `starts`. One start is the chain this placer runs; any other
+        // count asked for a placement it can no longer produce.
+        if let Some(raw) = value.get("starts") {
+            let starts: usize = serde::Deserialize::from_json(raw)
+                .map_err(|e| serde::JsonError::new(format!("field `starts`: {e}")))?;
+            if starts != 1 {
+                return Err(serde::JsonError::new(format!(
+                    "field `starts`: multi-start placement is no longer supported \
+                     (got {starts}); remove the field or set it to 1"
+                )));
+            }
+        }
         Ok(PlacementOptions {
             refine: value.field("refine")?,
             annealing_moves: value.field("annealing_moves")?,
             seed: value.field("seed")?,
-            // Absent in pre-multi-start documents: those ran one chain.
-            starts: match value.get("starts") {
-                Some(raw) => serde::Deserialize::from_json(raw)?,
-                None => 1,
-            },
             // Absent in pre-warm-start documents: warm adoption is safe by
             // construction (exact-input gate), so it defaults on.
             warm_start: match value.get("warm_start") {
@@ -241,27 +240,6 @@ pub fn place_devices(
     tasks: &[TransportTask],
     options: &PlacementOptions,
 ) -> Result<Placement, ArchError> {
-    place_devices_threaded(grid, num_devices, tasks, options, 1)
-}
-
-/// Like [`place_devices`], but refining the [`PlacementOptions::starts`]
-/// independent annealing starts on up to `threads` worker threads.
-///
-/// The thread count never changes the result: every start runs its own
-/// seed-split RNG stream and the winner is reduced by `(cost, start
-/// index)`, so one thread and eight threads pick the same placement.
-///
-/// # Errors
-///
-/// Returns [`ArchError::GridTooSmall`] if the grid has fewer nodes than
-/// devices.
-pub fn place_devices_threaded(
-    grid: &ConnectionGrid,
-    num_devices: usize,
-    tasks: &[TransportTask],
-    options: &PlacementOptions,
-    threads: usize,
-) -> Result<Placement, ArchError> {
     if num_devices > grid.num_nodes() {
         return Err(ArchError::GridTooSmall {
             devices: num_devices,
@@ -342,71 +320,9 @@ pub fn place_devices_threaded(
     if !(options.refine && num_devices > 1) {
         return Ok(placement);
     }
-    let starts = options.starts.max(1);
-    if starts == 1 {
-        // The historical single-chain path: same seed, same stream, same
-        // placement as before multi-start existed.
-        let mut refined = placement;
-        refine(
-            grid,
-            &traffic,
-            &mut refined,
-            &preferred,
-            options,
-            options.seed,
-        );
-        return Ok(refined);
-    }
-
-    let workers = threads.max(1).min(starts);
-    let slots: Vec<std::sync::Mutex<Option<(i64, Placement)>>> =
-        (0..starts).map(|_| std::sync::Mutex::new(None)).collect();
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let run = || loop {
-        let k = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if k >= starts {
-            break;
-        }
-        let mut candidate = placement.clone();
-        let cost = refine(
-            grid,
-            &traffic,
-            &mut candidate,
-            &preferred,
-            options,
-            crate::parallel::split_seed(options.seed, k),
-        );
-        *slots[k]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some((cost, candidate));
-    };
-    if workers <= 1 {
-        run();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers - 1 {
-                // `&run` trips needless_borrows_for_generic_args, the
-                // closure trips redundant_closure; the closure reads better.
-                #[allow(clippy::redundant_closure)]
-                scope.spawn(|| run());
-            }
-            run();
-        });
-    }
-
-    // Deterministic reduction: lowest cost wins, ties go to the earliest
-    // start (k ascends, so a strict `<` implements the `(cost, k)` order).
-    let mut best: Option<(i64, Placement)> = None;
-    for slot in slots {
-        let (cost, candidate) = slot
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .expect("every annealing start reports a result");
-        if best.as_ref().is_none_or(|(b, _)| cost < *b) {
-            best = Some((cost, candidate));
-        }
-    }
-    Ok(best.expect("at least one annealing start ran").1)
+    let mut refined = placement;
+    refine(grid, &traffic, &mut refined, &preferred, options);
+    Ok(refined)
 }
 
 /// Cost delta of moving one device to `to`, with `ignore` (the swap partner,
@@ -436,8 +352,7 @@ fn move_delta(
 
 /// Simulated-annealing refinement: swap two devices or move one device to a
 /// free preferred node, accepting uphill moves with a temperature-dependent
-/// probability. Returns the cost of the placement it settles on (the
-/// multi-start reduction key).
+/// probability.
 ///
 /// Each candidate move is priced by its **delta cost** — only the traffic
 /// rows of the touched devices are visited — and applied in place; the full
@@ -448,9 +363,8 @@ fn refine(
     placement: &mut Placement,
     candidates: &[NodeId],
     options: &PlacementOptions,
-    seed: u64,
-) -> i64 {
-    let mut rng = StdRng::seed_from_u64(seed);
+) {
+    let mut rng = StdRng::seed_from_u64(options.seed);
     let initial_cost = placement.weighted_cost(grid, traffic) as i64;
     let mut current_cost = initial_cost;
     let mut best = placement.node_of_device.clone();
@@ -512,7 +426,6 @@ fn refine(
         best_cost,
         "delta-cost bookkeeping diverged from the full recompute"
     );
-    best_cost
 }
 
 /// A candidate annealing move, applied only after acceptance.
@@ -663,60 +576,25 @@ mod tests {
     }
 
     #[test]
-    fn multi_start_is_deterministic_across_thread_counts() {
-        let grid = ConnectionGrid::square(5);
-        let tasks: Vec<TransportTask> = vec![
-            task(0, 1),
-            task(0, 1),
-            task(1, 2),
-            task(2, 3),
-            task(3, 4),
-            task(0, 4),
-        ];
-        let options = PlacementOptions {
-            starts: 4,
-            ..PlacementOptions::default()
-        };
-        let single = place_devices_threaded(&grid, 5, &tasks, &options, 1).unwrap();
-        for threads in [2, 4, 8] {
-            let multi = place_devices_threaded(&grid, 5, &tasks, &options, threads).unwrap();
-            assert_eq!(multi, single, "{threads} threads diverged");
-        }
-    }
-
-    #[test]
-    fn multi_start_never_loses_to_the_single_chain() {
-        let grid = ConnectionGrid::square(5);
-        let tasks: Vec<TransportTask> =
-            vec![task(0, 1), task(1, 2), task(2, 3), task(3, 0), task(0, 2)];
-        let traffic = TrafficMatrix::from_tasks(4, &tasks);
-        let single = place_devices(&grid, 4, &tasks, &PlacementOptions::default()).unwrap();
-        let multi = place_devices_threaded(
-            &grid,
-            4,
-            &tasks,
-            &PlacementOptions {
-                starts: 6,
-                ..PlacementOptions::default()
-            },
-            2,
-        )
-        .unwrap();
-        assert!(
-            multi.weighted_cost(&grid, &traffic) <= single.weighted_cost(&grid, &traffic),
-            "the multi-start winner must be at least as good as start 0"
-        );
-    }
-
-    #[test]
     fn single_start_matches_the_historical_annealer_stream() {
-        // `starts: 1` must run the seed unchanged — same stream, same
-        // placement as the pre-multi-start annealer.
-        let grid = ConnectionGrid::square(5);
-        let tasks: Vec<TransportTask> = vec![task(0, 1), task(1, 2), task(2, 0)];
-        let a = place_devices(&grid, 3, &tasks, &PlacementOptions::default()).unwrap();
-        let b = place_devices_threaded(&grid, 3, &tasks, &PlacementOptions::default(), 8).unwrap();
-        assert_eq!(a, b);
+        // The annealer runs the seed's one stream: pinned to the placement
+        // the multi-start-era placer produced at `starts: 1`.
+        let grid = ConnectionGrid::square(7);
+        let pairs = [
+            (0, 5),
+            (1, 6),
+            (2, 7),
+            (3, 0),
+            (4, 1),
+            (5, 2),
+            (6, 3),
+            (7, 4),
+            (0, 2),
+        ];
+        let tasks: Vec<TransportTask> = pairs.map(|(from, to)| task(from, to)).to_vec();
+        let placement = place_devices(&grid, 8, &tasks, &PlacementOptions::default()).unwrap();
+        let expected = [32, 6, 30, 34, 18, 46, 20, 16].map(NodeId);
+        assert_eq!(placement.device_nodes(), &expected);
     }
 
     #[test]

@@ -24,19 +24,10 @@
 //!    reused across searches) that respects the reservation calendars for
 //!    the chosen window; store tasks additionally select a cache segment
 //!    through the distance-sorted [`SegmentIndex`](crate::segment_index).
-//!    Scoring is **pure**: it reads a frozen snapshot of the reservation
-//!    state and never mutates it, which is what lets
-//!    [`Router::route_all`] fan candidate windows and cache-segment claims
-//!    over a scoped worker pool while staying bit-identical to the
-//!    sequential router — the winner is always the first feasible candidate
-//!    *by candidate order*, never by completion order, and the stage
-//!    counters only ever record work the sequential router would also have
-//!    done (speculatively scored candidates past the winner are discarded,
-//!    counters included).
+//!    Scoring only reads the reservation state; the first feasible
+//!    candidate in candidate order wins.
 //! 3. **Commit** — the found path reserves its edges and switch nodes in the
-//!    calendars and the task is recorded. Commits always happen on the
-//!    driver thread, in task order: commit order, not scoring order, defines
-//!    the result.
+//!    calendars and the task is recorded, in task order.
 //!
 //! Each stage counts its work in [`RouterStats`], surfaced through
 //! `SynthesisReport` so regressions in window rejection rates or search
@@ -47,7 +38,7 @@
 //! The hot loops run on dense, index-addressed tables — a bitset for the
 //! used-edge set, per-edge slots for the active caches, per-sample slots for
 //! the cache assignment — and on scratch buffers (window builder, Dijkstra
-//! arrays, price blocks) that are reused across all tasks of a run. The
+//! arrays) that are reused across all tasks of a run. The
 //! steady-state allocation rate per routed task is pinned by the
 //! `alloc_discipline` integration test.
 //!
@@ -57,10 +48,8 @@
 //! router staggers the transport inside its slack instead of failing.
 
 use std::collections::{BTreeSet, HashMap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -173,26 +162,6 @@ pub struct RouterStats {
     /// Store-claim candidates pruned by the oracle's producer-region flood
     /// before any probe was paid for them.
     pub oracle_pruned_candidates: usize,
-}
-
-/// Search-effort counters of one pure scoring step. Accumulated into
-/// [`RouterStats`] strictly in candidate order, and only for candidates the
-/// sequential router would also have scored.
-#[derive(Debug, Clone, Copy, Default)]
-struct EvalCounters {
-    searches: usize,
-    nodes: usize,
-    rejected: usize,
-    tightened: usize,
-}
-
-impl RouterStats {
-    fn absorb(&mut self, c: EvalCounters) {
-        self.path_searches += c.searches;
-        self.nodes_expanded += c.nodes;
-        self.oracle_rejected_searches += c.rejected;
-        self.oracle_tightenings += c.tightened;
-    }
 }
 
 /// Dense bitset over grid-edge indices — the used-edge set of the chip.
@@ -349,7 +318,7 @@ impl PartialOrd for SearchEntry {
 
 /// Dense per-node scratch arrays reused across Dijkstra runs; `stamp`
 /// versioning avoids clearing them between searches and the frontier heap
-/// keeps its allocation. Every scoring thread owns one.
+/// keeps its allocation.
 #[derive(Debug, Default)]
 struct DijkstraScratch {
     dist: Vec<u64>,
@@ -454,7 +423,7 @@ impl DijkstraScratch {
     }
 }
 
-/// Reusable buffers of the window-selection stage (driver-only). The
+/// Reusable buffers of the window-selection stage. The
 /// original implementation allocated a `Vec`, a `HashSet` and a `BTreeSet`
 /// per task; these buffers make the stage allocation-free in steady state
 /// while reproducing the exact candidate order (linear dedup over the small
@@ -468,10 +437,6 @@ struct WindowScratch {
     seen: Vec<Seconds>,
     extras: Vec<Seconds>,
     resources: Vec<WindowResource>,
-    /// Viable-window buffer of the fetch stage.
-    viable: Vec<Interval>,
-    /// Price block of the store stage's speculative pricer.
-    prices: Vec<Option<u64>>,
     /// Producer-region flood of the store stage's claim pruning.
     region: RegionScratch,
 }
@@ -521,8 +486,7 @@ impl RegionScratch {
 }
 
 /// Everything about a routing run that is frozen after [`Router::new`]:
-/// grid topology, placement-derived lookup tables and the options. Shared
-/// read-only with every scoring thread.
+/// grid topology, placement-derived lookup tables and the options.
 #[derive(Debug)]
 struct RouteCtx<'a> {
     grid: &'a ConnectionGrid,
@@ -547,9 +511,7 @@ struct RouteCtx<'a> {
 }
 
 /// The mutable routing state: reservation calendars, the used-edge set and
-/// the cache bookkeeping. Commits mutate it on the driver thread; scoring
-/// reads a frozen snapshot of it (through an `RwLock` when a worker pool is
-/// active — uncontended in sequential runs).
+/// the cache bookkeeping. Only commits mutate it.
 #[derive(Debug)]
 struct RouteState {
     reservations: ReservationTable,
@@ -567,11 +529,10 @@ struct RouteState {
     /// Pool members in the order they joined (drives the incremental
     /// per-pair pooled candidate lists).
     pool_log: Vec<GridEdgeId>,
-    /// Bumped on every mutable acquisition of the state lock. Keys the
-    /// per-(window, state) calendar memo in [`DijkstraScratch`]: a memo
-    /// entry is only reused while the generation it was recorded under is
-    /// still current, so probes against a frozen snapshot share answers and
-    /// any commit invalidates them wholesale.
+    /// Bumped on every commit. Keys the per-(window, state) calendar memo
+    /// in [`DijkstraScratch`]: a memo entry is only reused while the
+    /// generation it was recorded under is still current, so probes between
+    /// two commits share answers and any commit invalidates them wholesale.
     generation: u64,
 }
 
@@ -596,10 +557,9 @@ enum WindowResource {
     Node(NodeId),
 }
 
-/// A pure, read-only scoring view over the frozen context and a snapshot of
-/// the mutable state. Every method is a function of its arguments and the
-/// snapshot — no interior mutation, no completion-order dependence — which
-/// is the invariant the parallel scoring pool rests on.
+/// A read-only scoring view over the frozen context and the current state.
+/// Every method is a function of its arguments and the state; only the
+/// search counters are written.
 #[derive(Clone, Copy)]
 struct Eval<'e, 'a> {
     ctx: &'e RouteCtx<'a>,
@@ -939,14 +899,14 @@ impl<'e, 'a> Eval<'e, 'a> {
     /// Read-only probe of one store claim: can the sample be routed from the
     /// producer into `edge` for this horizon? Returns the approach path
     /// (cache segment appended) and the chosen exit node; the commit is the
-    /// driver's.
+    /// caller's.
     fn find_cache_entry(
         &self,
         from: NodeId,
         edge: GridEdgeId,
         horizon: &StoreHorizon,
         scratch: &mut DijkstraScratch,
-        counters: &mut EvalCounters,
+        counters: &mut RouterStats,
     ) -> Option<(RoutedPath, NodeId)> {
         let store_window = horizon.store_window;
         let (x, y) = self.ctx.grid.endpoints(edge);
@@ -991,7 +951,7 @@ impl<'e, 'a> Eval<'e, 'a> {
         second: NodeId,
         window: Interval,
         scratch: &mut DijkstraScratch,
-        counters: &mut EvalCounters,
+        counters: &mut RouterStats,
     ) -> Option<RoutedPath> {
         for leave in [first, second] {
             let Some(path) =
@@ -1026,9 +986,9 @@ impl<'e, 'a> Eval<'e, 'a> {
         window: Interval,
         skip_edge: Option<GridEdgeId>,
         scratch: &mut DijkstraScratch,
-        counters: &mut EvalCounters,
+        counters: &mut RouterStats,
     ) -> Option<RoutedPath> {
-        counters.searches += 1;
+        counters.path_searches += 1;
         if from == to {
             return Some(RoutedPath {
                 nodes: vec![from],
@@ -1054,7 +1014,7 @@ impl<'e, 'a> Eval<'e, 'a> {
         // guaranteed miss: rejecting it here skips the exhaustive failed
         // flood without touching any search that can succeed.
         if self.ctx.assists && self.destination_unenterable(from, to, window, skip_edge, scratch) {
-            counters.rejected += 1;
+            counters.oracle_rejected_searches += 1;
             return None;
         }
 
@@ -1106,7 +1066,7 @@ impl<'e, 'a> Eval<'e, 'a> {
             dist: cost,
         }) = scratch.heap.pop()
         {
-            counters.nodes += 1;
+            counters.nodes_expanded += 1;
             if node == to {
                 reached = true;
                 break;
@@ -1125,7 +1085,7 @@ impl<'e, 'a> Eval<'e, 'a> {
                 }
                 if let Some(target) = &target {
                     if next != to && !self.ctx.oracle.reaches(next, target) {
-                        counters.tightened += 1;
+                        counters.oracle_tightenings += 1;
                         continue;
                     }
                 }
@@ -1226,15 +1186,12 @@ impl<'e, 'a> Eval<'e, 'a> {
     /// one store window, under exactly the admission rules of
     /// [`shortest_path`](Eval::shortest_path) (minus any `skip_edge`, which
     /// makes the region a superset for every per-candidate skip — sound for
-    /// rejection). Runs unconditionally before a window's claim stream so
-    /// the pruning decision is a pure function of the frozen snapshot,
-    /// identical at any thread count; a lazily-triggered flood would not
-    /// be, because parallel claim batches form before failures are seen.
+    /// rejection). Runs once before a window's claim stream.
     ///
     /// `region.complete` is only set when the frontier drained within the
     /// pop budget; otherwise the region is partial and pruning stays off.
-    /// The flood touches no [`EvalCounters`] — it is oracle bookkeeping,
-    /// not search work the sequential router would have done.
+    /// The flood touches no [`RouterStats`] — it is oracle bookkeeping,
+    /// not search work.
     fn flood_claim_region(
         &self,
         from: NodeId,
@@ -1273,425 +1230,12 @@ impl<'e, 'a> Eval<'e, 'a> {
         region.complete = true;
     }
 }
-
-// ---------------------------------------------------------------------------
-// The scoped scoring pool
-// ---------------------------------------------------------------------------
-
-fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn read_state(state: &RwLock<RouteState>) -> RwLockReadGuard<'_, RouteState> {
-    state
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn write_state(state: &RwLock<RouteState>) -> RwLockWriteGuard<'_, RouteState> {
-    let mut guard = state
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    guard.generation += 1;
-    guard
-}
-
-/// One batch of pure scoring work, fanned over the pool. All payloads are
-/// plain copies — workers never chase driver-owned pointers.
-#[derive(Debug)]
-enum JobKind {
-    /// Price cache-segment candidates for one store horizon.
-    Price {
-        horizon: StoreHorizon,
-        to_node: NodeId,
-        edges: Vec<GridEdgeId>,
-    },
-    /// Probe store claims (approach path into each candidate segment).
-    Claim {
-        from: NodeId,
-        horizon: StoreHorizon,
-        edges: Vec<GridEdgeId>,
-    },
-    /// Score candidate windows of a direct transport.
-    Direct {
-        from: NodeId,
-        to: NodeId,
-        windows: Vec<Interval>,
-    },
-    /// Score candidate windows of a fetch transport.
-    Fetch {
-        to: NodeId,
-        cache_edge: GridEdgeId,
-        first: NodeId,
-        second: NodeId,
-        windows: Vec<Interval>,
-    },
-}
-
-impl JobKind {
-    fn len(&self) -> usize {
-        match self {
-            JobKind::Price { edges, .. } | JobKind::Claim { edges, .. } => edges.len(),
-            JobKind::Direct { windows, .. } | JobKind::Fetch { windows, .. } => windows.len(),
-        }
-    }
-
-    /// Items one cursor grab hands a worker: pricing items are tiny, so
-    /// they are taken sixteen at a time; claims and window searches run one
-    /// Dijkstra each and are grabbed singly.
-    fn chunk(&self) -> usize {
-        match self {
-            JobKind::Price { .. } => 16,
-            _ => 1,
-        }
-    }
-}
-
-/// The outcome of one scored item.
-#[derive(Debug)]
-enum ItemOut {
-    Price(Option<u64>),
-    Claim(EvalCounters, Option<(RoutedPath, NodeId)>),
-    Window(EvalCounters, Option<RoutedPath>),
-}
-
-fn compute_item(
-    eval: &Eval<'_, '_>,
-    kind: &JobKind,
-    i: usize,
-    scratch: &mut DijkstraScratch,
-) -> ItemOut {
-    match kind {
-        JobKind::Price {
-            horizon,
-            to_node,
-            edges,
-        } => ItemOut::Price(eval.price_segment(edges[i], horizon, *to_node)),
-        JobKind::Claim {
-            from,
-            horizon,
-            edges,
-        } => {
-            let mut c = EvalCounters::default();
-            let found = eval.find_cache_entry(*from, edges[i], horizon, scratch, &mut c);
-            ItemOut::Claim(c, found)
-        }
-        JobKind::Direct { from, to, windows } => {
-            let mut c = EvalCounters::default();
-            let found = eval.shortest_path(*from, *to, windows[i], None, scratch, &mut c);
-            ItemOut::Window(c, found)
-        }
-        JobKind::Fetch {
-            to,
-            cache_edge,
-            first,
-            second,
-            windows,
-        } => {
-            let mut c = EvalCounters::default();
-            let found = eval.find_fetch_path(
-                *to,
-                *cache_edge,
-                *first,
-                *second,
-                windows[i],
-                scratch,
-                &mut c,
-            );
-            ItemOut::Window(c, found)
-        }
-    }
-}
-
-/// One published batch: the work, a cursor the threads grab ranges from,
-/// per-item result slots, and a completion latch the driver waits on.
-#[derive(Debug)]
-struct ScoreJob {
-    kind: JobKind,
-    n: usize,
-    cursor: AtomicUsize,
-    done: Mutex<usize>,
-    finished: Condvar,
-    results: Vec<Mutex<Option<ItemOut>>>,
-}
-
-#[derive(Debug)]
-struct BoardSlot {
-    generation: u64,
-    job: Option<std::sync::Arc<ScoreJob>>,
-    shutdown: bool,
-}
-
-/// The job board the scoped scoring threads poll. Lives only as long as one
-/// [`Router::route_all`] call; workers borrow the frozen context and the
-/// state lock, take a read snapshot per batch and park between batches.
-#[derive(Debug)]
-struct Board<'d, 'a> {
-    ctx: &'d RouteCtx<'a>,
-    state: &'d RwLock<RouteState>,
-    slot: Mutex<BoardSlot>,
-    wake: Condvar,
-    panicked: AtomicBool,
-    threads: usize,
-}
-
-impl<'d, 'a> Board<'d, 'a> {
-    fn new(ctx: &'d RouteCtx<'a>, state: &'d RwLock<RouteState>, threads: usize) -> Self {
-        Board {
-            ctx,
-            state,
-            slot: Mutex::new(BoardSlot {
-                generation: 0,
-                job: None,
-                shutdown: false,
-            }),
-            wake: Condvar::new(),
-            panicked: AtomicBool::new(false),
-            threads,
-        }
-    }
-
-    /// The worker body: wait for a batch generation, snapshot the state,
-    /// drain cursor ranges, repeat until shutdown.
-    fn worker_loop(&self) {
-        let mut scratch = DijkstraScratch::for_grid(self.ctx.grid);
-        let mut last_generation = 0u64;
-        loop {
-            let job = {
-                let mut slot = lock_ignore_poison(&self.slot);
-                loop {
-                    if slot.shutdown {
-                        return;
-                    }
-                    if slot.generation != last_generation {
-                        if let Some(job) = &slot.job {
-                            last_generation = slot.generation;
-                            break std::sync::Arc::clone(job);
-                        }
-                    }
-                    slot = self
-                        .wake
-                        .wait(slot)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            };
-            let guard = read_state(self.state);
-            let eval = Eval {
-                ctx: self.ctx,
-                state: &guard,
-            };
-            self.run_items(&job, &eval, &mut scratch);
-        }
-    }
-
-    /// Drains cursor ranges of `job`, computing items into their slots.
-    /// Shared by workers and the (participating) driver.
-    fn run_items(&self, job: &ScoreJob, eval: &Eval<'_, '_>, scratch: &mut DijkstraScratch) {
-        let chunk = job.kind.chunk();
-        loop {
-            let start = job.cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= job.n {
-                break;
-            }
-            let end = (start + chunk).min(job.n);
-            for i in start..end {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    compute_item(eval, &job.kind, i, scratch)
-                }));
-                match outcome {
-                    Ok(out) => *lock_ignore_poison(&job.results[i]) = Some(out),
-                    Err(_) => self.panicked.store(true, Ordering::Release),
-                }
-            }
-            let mut done = lock_ignore_poison(&job.done);
-            *done += end - start;
-            if *done >= job.n {
-                job.finished.notify_all();
-            }
-        }
-    }
-
-    /// Publishes a batch, participates in computing it, waits for the last
-    /// item and collects the results in item order.
-    ///
-    /// The caller supplies its own `eval` snapshot (it may already hold a
-    /// read guard); workers take their own read snapshots, which is safe
-    /// because no commit can run while the driver sits in this call.
-    fn scatter(
-        &self,
-        kind: JobKind,
-        eval: &Eval<'_, '_>,
-        scratch: &mut DijkstraScratch,
-    ) -> Vec<ItemOut> {
-        let n = kind.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let job = std::sync::Arc::new(ScoreJob {
-            kind,
-            n,
-            cursor: AtomicUsize::new(0),
-            done: Mutex::new(0),
-            finished: Condvar::new(),
-            results: (0..n).map(|_| Mutex::new(None)).collect(),
-        });
-        {
-            let mut slot = lock_ignore_poison(&self.slot);
-            slot.generation += 1;
-            slot.job = Some(std::sync::Arc::clone(&job));
-        }
-        self.wake.notify_all();
-        self.run_items(&job, eval, scratch);
-        let mut done = lock_ignore_poison(&job.done);
-        while *done < job.n {
-            if self.panicked.load(Ordering::Acquire) {
-                panic!("a router scoring worker panicked");
-            }
-            let (guard, _) = job
-                .finished
-                .wait_timeout(done, std::time::Duration::from_millis(50))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            done = guard;
-        }
-        drop(done);
-        if self.panicked.load(Ordering::Acquire) {
-            panic!("a router scoring worker panicked");
-        }
-        job.results
-            .iter()
-            .map(|slot| {
-                lock_ignore_poison(slot)
-                    .take()
-                    .expect("every scored item leaves a result")
-            })
-            .collect()
-    }
-}
-
-/// Ends the worker loops when the driver leaves (or unwinds out of) the
-/// routing scope.
-struct ShutdownGuard<'b, 'd, 'a>(&'b Board<'d, 'a>);
-
-impl Drop for ShutdownGuard<'_, '_, '_> {
-    fn drop(&mut self) {
-        let mut slot = lock_ignore_poison(&self.0.slot);
-        slot.shutdown = true;
-        slot.job = None;
-        drop(slot);
-        self.0.wake.notify_all();
-    }
-}
-
-/// Speculative block pricer feeding [`OrderedCandidates`].
-///
-/// The lazy merge consumes candidates strictly in static-score order and
-/// prices each exactly once; this pricer answers those queries from a block
-/// buffer that is filled ahead of the cursor — in parallel when a pool is
-/// active. Prices are pure, so speculative entries past the merge's stopping
-/// point are simply discarded; the consumed count (and with it the
-/// `segments_priced` counter) is the merge's own, identical to a sequential
-/// run.
-struct Pricer<'p> {
-    list: ScoredEdges,
-    horizon: StoreHorizon,
-    to_node: NodeId,
-    /// Block buffer (borrowed from the window scratch), aligned so that
-    /// `buf[cursor - base]` is the price of `list[cursor]`.
-    buf: &'p mut Vec<Option<u64>>,
-    base: usize,
-    cursor: usize,
-}
-
-/// List positions priced per speculative block when a pool is active.
-/// Blocks amortize the scatter handshake over many (sub-microsecond)
-/// pricings while bounding the waste past the merge's stopping point to
-/// one block per candidate stream.
-const PRICE_BLOCK: usize = 64;
-
-impl<'p> Pricer<'p> {
-    fn new(
-        list: ScoredEdges,
-        horizon: StoreHorizon,
-        to_node: NodeId,
-        buf: &'p mut Vec<Option<u64>>,
-    ) -> Self {
-        buf.clear();
-        Pricer {
-            list,
-            horizon,
-            to_node,
-            buf,
-            base: 0,
-            cursor: 0,
-        }
-    }
-
-    /// The price of the next list position, in consumption order.
-    fn next(
-        &mut self,
-        eval: &Eval<'_, '_>,
-        board: Option<&Board<'_, '_>>,
-        scratch: &mut DijkstraScratch,
-    ) -> Option<u64> {
-        debug_assert!(self.cursor < self.list.len());
-        if self.cursor >= self.base + self.buf.len() {
-            self.fill_from(self.cursor, eval, board, scratch);
-        }
-        let price = self.buf[self.cursor - self.base];
-        self.cursor += 1;
-        price
-    }
-
-    fn fill_from(
-        &mut self,
-        start: usize,
-        eval: &Eval<'_, '_>,
-        board: Option<&Board<'_, '_>>,
-        scratch: &mut DijkstraScratch,
-    ) {
-        self.base = start;
-        self.buf.clear();
-        let remaining = self.list.len() - start;
-        match board {
-            // Blocks only pay off when enough of the stream is left; short
-            // tails are priced inline like the sequential path.
-            Some(board) if remaining >= 8 && board.threads > 1 => {
-                let end = (start + PRICE_BLOCK).min(self.list.len());
-                let edges: Vec<GridEdgeId> =
-                    self.list[start..end].iter().map(|&(_, e)| e).collect();
-                for out in board.scatter(
-                    JobKind::Price {
-                        horizon: self.horizon,
-                        to_node: self.to_node,
-                        edges,
-                    },
-                    eval,
-                    scratch,
-                ) {
-                    match out {
-                        ItemOut::Price(p) => self.buf.push(p),
-                        _ => unreachable!("price batches answer price items"),
-                    }
-                }
-            }
-            _ => {
-                let (_, edge) = self.list[start];
-                self.buf
-                    .push(eval.price_segment(edge, &self.horizon, self.to_node));
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The router: driver, commits, public API
 // ---------------------------------------------------------------------------
 
-/// Driver-private lazy indexes (per-pair candidate lists and their pooled
-/// subsets). Only the commit thread touches them, so they stay outside the
-/// state lock.
+/// Lazy indexes of the store stage: per-pair candidate lists and their
+/// pooled subsets.
 #[derive(Debug, Default)]
 struct LazyIndexes {
     segment_index: SegmentIndex,
@@ -1708,8 +1252,7 @@ enum CandidateOutcome {
         edge: GridEdgeId,
         exit: NodeId,
         path: RoutedPath,
-        /// The lazy merge's consumed count at the winner's yield — exactly
-        /// what the sequential scan would have priced.
+        /// The lazy merge's consumed count at the winner's yield.
         consumed: usize,
     },
     Exhausted {
@@ -1733,6 +1276,7 @@ fn commit_path(
     deadline: Seconds,
     stats: &mut RouterStats,
 ) {
+    st.generation += 1;
     for &node in &path.nodes {
         if ctx.oracle.device_of_node[node.index()].is_some() {
             continue;
@@ -1750,23 +1294,17 @@ fn commit_path(
 }
 
 /// The per-task routing driver. One instance serves one `route`/`route_all`
-/// call; it owns mutable borrows of the driver-side scratch and stats and —
-/// when a scoring pool is active — a handle to the job board.
+/// call and holds mutable borrows of the router's state, scratch and stats.
 struct Driver<'d, 'a> {
     ctx: &'d RouteCtx<'a>,
-    state: &'d RwLock<RouteState>,
+    state: &'d mut RouteState,
     lazy: &'d mut LazyIndexes,
     scratch: &'d mut DijkstraScratch,
     wscratch: &'d mut WindowScratch,
     stats: &'d mut RouterStats,
-    board: Option<&'d Board<'d, 'a>>,
 }
 
 impl Driver<'_, '_> {
-    fn width(&self) -> usize {
-        self.board.map_or(1, |b| b.threads)
-    }
-
     /// Routes one task, with the per-task postponement escalation: the
     /// first attempt only considers windows inside the task's slack;
     /// overrun windows are tried when — and only when — the task cannot be
@@ -1796,14 +1334,11 @@ impl Driver<'_, '_> {
     fn collect_windows(&mut self, task: &TransportTask, allow_overrun: bool) -> Vec<Interval> {
         let _span = telemetry::span("router", "route.window_select");
         let mut out = std::mem::take(&mut self.wscratch.out);
-        {
-            let st = read_state(self.state);
-            let eval = Eval {
-                ctx: self.ctx,
-                state: &st,
-            };
-            eval.candidate_windows(task, allow_overrun, self.wscratch, &mut out);
-        }
+        let eval = Eval {
+            ctx: self.ctx,
+            state: self.state,
+        };
+        eval.candidate_windows(task, allow_overrun, self.wscratch, &mut out);
         out
     }
 
@@ -1831,30 +1366,18 @@ impl Driver<'_, '_> {
         to: NodeId,
         windows: &[Interval],
     ) -> Result<RoutedTransport, ArchError> {
-        let mut idx = 0;
-        while idx < windows.len() {
-            // The preferred window almost always fits, so it is scored
-            // inline exactly like the sequential router; only the congested
-            // tail fans out over the pool.
-            if idx == 0 || self.width() == 1 {
-                let (c, found) = self.score_one_direct(from, to, windows[idx]);
-                self.stats.windows_tried += 1;
-                self.stats.absorb(c);
-                if let Some(path) = found {
-                    return Ok(self.commit_direct(task, path));
-                }
-                idx += 1;
-            } else {
-                let hi = (idx + self.width()).min(windows.len());
-                let outs = self.score_direct_chunk(from, to, &windows[idx..hi]);
-                for (c, found) in outs {
-                    self.stats.windows_tried += 1;
-                    self.stats.absorb(c);
-                    if let Some(path) = found {
-                        return Ok(self.commit_direct(task, path));
-                    }
-                }
-                idx = hi;
+        for &window in windows {
+            self.stats.windows_tried += 1;
+            let found = {
+                let _span = telemetry::span("router", "route.path_search");
+                let eval = Eval {
+                    ctx: self.ctx,
+                    state: self.state,
+                };
+                eval.shortest_path(from, to, window, None, self.scratch, self.stats)
+            };
+            if let Some(path) = found {
+                return Ok(self.commit_direct(task, path));
             }
         }
         Err(ArchError::RoutingFailed {
@@ -1864,70 +1387,17 @@ impl Driver<'_, '_> {
         })
     }
 
-    fn score_one_direct(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        window: Interval,
-    ) -> (EvalCounters, Option<RoutedPath>) {
-        let _span = telemetry::span("router", "route.path_search");
-        let st = read_state(self.state);
-        let eval = Eval {
-            ctx: self.ctx,
-            state: &st,
-        };
-        let mut c = EvalCounters::default();
-        let found = eval.shortest_path(from, to, window, None, self.scratch, &mut c);
-        (c, found)
-    }
-
-    fn score_direct_chunk(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        chunk: &[Interval],
-    ) -> Vec<(EvalCounters, Option<RoutedPath>)> {
-        let _span = telemetry::span("router", "route.path_search");
-        let st = read_state(self.state);
-        let eval = Eval {
-            ctx: self.ctx,
-            state: &st,
-        };
-        match self.board {
-            Some(board) if chunk.len() > 1 => board
-                .scatter(
-                    JobKind::Direct {
-                        from,
-                        to,
-                        windows: chunk.to_vec(),
-                    },
-                    &eval,
-                    self.scratch,
-                )
-                .into_iter()
-                .map(|out| match out {
-                    ItemOut::Window(c, p) => (c, p),
-                    _ => unreachable!("window batches answer window items"),
-                })
-                .collect(),
-            _ => chunk
-                .iter()
-                .map(|&window| {
-                    let mut c = EvalCounters::default();
-                    let found = eval.shortest_path(from, to, window, None, self.scratch, &mut c);
-                    (c, found)
-                })
-                .collect(),
-        }
-    }
-
     fn commit_direct(&mut self, task: &TransportTask, path: RoutedPath) -> RoutedTransport {
         let _span = telemetry::span("router", "route.commit");
         let window = path.window;
-        {
-            let mut st = write_state(self.state);
-            commit_path(&mut st, self.ctx, &path, window, task.deadline, self.stats);
-        }
+        commit_path(
+            self.state,
+            self.ctx,
+            &path,
+            window,
+            task.deadline,
+            self.stats,
+        );
         let mut routed_task = task.clone();
         routed_task.window_start = window.start;
         routed_task.window_end = window.end;
@@ -1999,15 +1469,12 @@ impl Driver<'_, '_> {
                 // departs; postponing the store past that point is useless.
                 continue;
             }
-            {
-                let st = read_state(self.state);
-                let eval = Eval {
-                    ctx: self.ctx,
-                    state: &st,
-                };
-                if !eval.producer_can_leave(from_node, store_window) {
-                    continue;
-                }
+            let eval = Eval {
+                ctx: self.ctx,
+                state: self.state,
+            };
+            if !eval.producer_can_leave(from_node, store_window) {
+                continue;
             }
             self.stats.windows_tried += 1;
             let horizon = StoreHorizon::new(task, store_window, stored_until);
@@ -2015,68 +1482,37 @@ impl Driver<'_, '_> {
             // Oracle early-reject for this window's claim stream: map the
             // transit region the producer can actually reach (bounded
             // flood) once, shared by both candidate phases — no commit
-            // happens between them, so the snapshot is the same.
+            // happens between them, so the state is the same.
             region.complete = false;
             if self.ctx.assists {
-                let st = read_state(self.state);
-                let eval = Eval {
-                    ctx: self.ctx,
-                    state: &st,
-                };
                 eval.flood_claim_region(from_node, store_window, region, self.scratch);
             }
 
             // Phase 1 (scale grids only): reuse a pooled segment, cheapest
-            // total score first.
+            // total score first. Phase 2: bring a fresh segment into the
+            // pool.
             let pooled_list: ScoredEdges = if self.ctx.scale_mode {
                 self.pooled_list(task, pair_index)
             } else {
                 Vec::new().into()
             };
-            match self.drive_candidates(
-                from_node,
-                to_node,
-                &horizon,
-                pooled_list,
-                min_price,
-                false,
-                region,
-            ) {
-                CandidateOutcome::Won {
-                    edge,
-                    exit,
-                    path,
-                    consumed,
-                } => {
-                    self.stats.segments_priced += consumed;
-                    return Ok(self.commit_store(task, edge, exit, path, &horizon));
-                }
-                CandidateOutcome::Exhausted { consumed } => {
-                    self.stats.segments_priced += consumed;
-                }
-            }
-
-            // Phase 2: bring a fresh segment into the pool.
-            match self.drive_candidates(
-                from_node,
-                to_node,
-                &horizon,
-                Rc::clone(&pair_index.sorted),
-                min_price,
-                true,
-                region,
-            ) {
-                CandidateOutcome::Won {
-                    edge,
-                    exit,
-                    path,
-                    consumed,
-                } => {
-                    self.stats.segments_priced += consumed;
-                    return Ok(self.commit_store(task, edge, exit, path, &horizon));
-                }
-                CandidateOutcome::Exhausted { consumed } => {
-                    self.stats.segments_priced += consumed;
+            for (list, skip_pool) in [(pooled_list, false), (Rc::clone(&pair_index.sorted), true)] {
+                let outcome = self.drive_candidates(
+                    from_node, to_node, &horizon, list, min_price, skip_pool, region,
+                );
+                match outcome {
+                    CandidateOutcome::Won {
+                        edge,
+                        exit,
+                        path,
+                        consumed,
+                    } => {
+                        self.stats.segments_priced += consumed;
+                        return Ok(self.commit_store(task, edge, exit, path, &horizon));
+                    }
+                    CandidateOutcome::Exhausted { consumed } => {
+                        self.stats.segments_priced += consumed;
+                    }
                 }
             }
         }
@@ -2086,9 +1522,9 @@ impl Driver<'_, '_> {
     }
 
     /// Walks one candidate stream in exact `(static + dynamic, edge id)`
-    /// order — pricing speculatively ahead of the merge, probing claims in
-    /// pool-width batches — and returns the first claimable segment by
-    /// candidate order, with the merge's consumed count at that yield.
+    /// order, pricing each candidate as the lazy merge reaches it and
+    /// probing its claim, and returns the first claimable segment with the
+    /// merge's consumed count at that yield.
     #[allow(clippy::too_many_arguments)]
     fn drive_candidates(
         &mut self,
@@ -2105,93 +1541,47 @@ impl Driver<'_, '_> {
         }
         // Store-side path search: segment pricing plus cache-entry claims.
         let _span = telemetry::span("router", "route.path_search");
-        // One claim probe per pool thread: the waste past the winner is at
-        // most one batch of speculative probes, whose counters are
-        // discarded anyway.
-        let claim_width = self.width();
         let skip_pool = skip_pool && self.ctx.scale_mode;
-        let st = read_state(self.state);
         let eval = Eval {
             ctx: self.ctx,
-            state: &st,
+            state: self.state,
         };
-        let mut merge = OrderedCandidates::new(Rc::clone(&list), min_price);
-        let mut pricer = Pricer::new(list, *horizon, to_node, &mut self.wscratch.prices);
-        let mut batch: Vec<(GridEdgeId, usize)> = Vec::with_capacity(claim_width);
+        let mut merge = OrderedCandidates::new(list, min_price);
         loop {
-            batch.clear();
-            while batch.len() < claim_width {
-                let next = merge.next_available(|edge| {
-                    let price = pricer.next(&eval, self.board, self.scratch);
-                    if skip_pool && st.cache_pool.contains(&edge) {
-                        None // already tried in phase 1
-                    } else {
-                        price
-                    }
-                });
-                let Some(edge) = next else { break };
-                // Oracle pruning: a candidate whose endpoints are both
-                // outside the producer's (exact) reachable region is a
-                // guaranteed claim miss — the entry probe is a shortest
-                // path from the producer, and the flood used the same
-                // admission rules. The sequential router would have priced
-                // it (the merge already did) and failed its probe; only
-                // the probe is skipped, so winner and consumed counts are
-                // untouched.
-                if region.complete {
-                    let (x, y) = self.ctx.grid.endpoints(edge);
-                    if !region.contains(x) && !region.contains(y) {
-                        self.stats.oracle_pruned_candidates += 1;
-                        continue;
-                    }
+            let next = merge.next_available(|edge| {
+                if skip_pool && eval.state.cache_pool.contains(&edge) {
+                    None // already tried in phase 1
+                } else {
+                    eval.price_segment(edge, horizon, to_node)
                 }
-                batch.push((edge, merge.priced()));
-            }
-            if batch.is_empty() {
+            });
+            let Some(edge) = next else {
                 return CandidateOutcome::Exhausted {
                     consumed: merge.priced(),
                 };
-            }
-            let outs: Vec<(EvalCounters, Option<(RoutedPath, NodeId)>)> = match self.board {
-                Some(board) if batch.len() > 1 => {
-                    let edges: Vec<GridEdgeId> = batch.iter().map(|&(e, _)| e).collect();
-                    board
-                        .scatter(
-                            JobKind::Claim {
-                                from,
-                                horizon: *horizon,
-                                edges,
-                            },
-                            &eval,
-                            self.scratch,
-                        )
-                        .into_iter()
-                        .map(|out| match out {
-                            ItemOut::Claim(c, f) => (c, f),
-                            _ => unreachable!("claim batches answer claim items"),
-                        })
-                        .collect()
-                }
-                _ => batch
-                    .iter()
-                    .map(|&(edge, _)| {
-                        let mut c = EvalCounters::default();
-                        let found =
-                            eval.find_cache_entry(from, edge, horizon, self.scratch, &mut c);
-                        (c, found)
-                    })
-                    .collect(),
             };
-            for (k, (c, found)) in outs.into_iter().enumerate() {
-                self.stats.absorb(c);
-                if let Some((path, exit)) = found {
-                    return CandidateOutcome::Won {
-                        edge: batch[k].0,
-                        exit,
-                        path,
-                        consumed: batch[k].1,
-                    };
+            // Oracle pruning: a candidate whose endpoints are both outside
+            // the producer's (exact) reachable region is a guaranteed claim
+            // miss — the entry probe is a shortest path from the producer,
+            // and the flood used the same admission rules. Only the probe is
+            // skipped; the merge already priced the candidate, so winner and
+            // consumed counts are untouched.
+            if region.complete {
+                let (x, y) = self.ctx.grid.endpoints(edge);
+                if !region.contains(x) && !region.contains(y) {
+                    self.stats.oracle_pruned_candidates += 1;
+                    continue;
                 }
+            }
+            if let Some((path, exit)) =
+                eval.find_cache_entry(from, edge, horizon, self.scratch, self.stats)
+            {
+                return CandidateOutcome::Won {
+                    edge,
+                    exit,
+                    path,
+                    consumed: merge.priced(),
+                };
             }
         }
     }
@@ -2205,17 +1595,17 @@ impl Driver<'_, '_> {
             .pooled_by_pair
             .entry(key)
             .or_insert_with(|| (0, Vec::new().into()));
-        let st = read_state(self.state);
-        if entry.0 < st.pool_log.len() {
+        let pool_log = &self.state.pool_log;
+        if entry.0 < pool_log.len() {
             let mut merged: Vec<(u64, GridEdgeId)> = entry.1.to_vec();
-            for &edge in &st.pool_log[entry.0..] {
+            for &edge in &pool_log[entry.0..] {
                 if let Some(score) = pair.score_of[edge.index()] {
                     let item = (score, edge);
                     let pos = merged.partition_point(|&x| x < item);
                     merged.insert(pos, item);
                 }
             }
-            entry.0 = st.pool_log.len();
+            entry.0 = pool_log.len();
             entry.1 = merged.into();
         }
         Rc::clone(&entry.1)
@@ -2231,41 +1621,15 @@ impl Driver<'_, '_> {
     ) -> RoutedTransport {
         let _span = telemetry::span("router", "route.commit");
         let store_window = horizon.store_window;
-        {
-            let mut st = write_state(self.state);
-            commit_path(
-                &mut st,
-                self.ctx,
-                &path,
-                store_window,
-                task.deadline,
-                self.stats,
-            );
-            // Block the segment from the moment the sample arrives until the
-            // end of its planned fetch window — plus the allowed
-            // postponement, so a delayed fetch still owns the segment while
-            // the sample rests past the plan — so no later task can claim
-            // the segment for the very instant the sample has to leave it.
-            // The segment's end nodes stay passable for other paths (the
-            // paper's exception).
-            let reserved_until = if self.ctx.scale_mode {
-                horizon.planned_fetch.end + self.ctx.options.max_deadline_overrun
-            } else {
-                horizon.planned_fetch.end
-            };
-            st.reservations
-                .reserve_edge(edge, Interval::new(horizon.storage.start, reserved_until));
-            st.cache_of_sample.set(task.sample, (edge, exit));
-            if st.cache_pool.insert(edge) {
-                st.pool_log.push(edge);
-            }
-            st.active_caches[edge.index()] = Some(CacheInfo {
-                blocked: Interval::new(horizon.blocked.start, reserved_until),
-                reserved: Interval::new(horizon.storage.start, reserved_until),
-                fetch_window: horizon.planned_fetch,
-                reserved_until,
-            });
-        }
+        commit_path(
+            self.state,
+            self.ctx,
+            &path,
+            store_window,
+            task.deadline,
+            self.stats,
+        );
+        cache_sample(self.state, self.ctx, task.sample, edge, exit, horizon);
         let mut routed_task = task.clone();
         routed_task.window_start = store_window.start;
         routed_task.window_end = store_window.end;
@@ -2288,17 +1652,13 @@ impl Driver<'_, '_> {
         allow_overrun: bool,
     ) -> Result<RoutedTransport, ArchError> {
         let to = self.ctx.placement.node_of(task.to_device);
-        let (cache_edge, exit, reserved_until) = {
-            let st = read_state(self.state);
-            let Some((cache_edge, exit)) = st.cache_of_sample.get(task.sample) else {
-                return Err(ArchError::Inconsistent {
-                    reason: format!("fetch of sample {} before it was stored", task.sample),
-                });
-            };
-            let reserved_until = st.active_caches[cache_edge.index()]
-                .map_or(task.window_end, |info| info.reserved_until);
-            (cache_edge, exit, reserved_until)
+        let Some((cache_edge, exit)) = self.state.cache_of_sample.get(task.sample) else {
+            return Err(ArchError::Inconsistent {
+                reason: format!("fetch of sample {} before it was stored", task.sample),
+            });
         };
+        let reserved_until = self.state.active_caches[cache_edge.index()]
+            .map_or(task.window_end, |info| info.reserved_until);
         let (x, y) = self.ctx.grid.endpoints(cache_edge);
         let other = if exit == x { y } else { x };
 
@@ -2308,137 +1668,41 @@ impl Driver<'_, '_> {
         // the fetch is postponed beyond that reservation, the segment must
         // additionally stay free (the sample keeps resting in it) until the
         // actual departure completes. Windows failing that are skipped
-        // without being counted — the viability test reads the same frozen
-        // snapshot the scoring does, so prefiltering is exactly the
-        // sequential order.
-        let mut viable = std::mem::take(&mut self.wscratch.viable);
-        viable.clear();
-        {
-            let st = read_state(self.state);
-            for &window in &windows {
-                let beyond_plan = Interval::new(reserved_until.min(window.end), window.end);
-                if st.reservations.edge_free(cache_edge, beyond_plan) {
-                    viable.push(window);
-                }
-            }
-        }
-        let result =
-            self.drive_fetch_windows(task, &viable, to, cache_edge, exit, other, reserved_until);
-        self.wscratch.viable = viable;
-        self.wscratch.out = windows;
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn drive_fetch_windows(
-        &mut self,
-        task: &TransportTask,
-        windows: &[Interval],
-        to: NodeId,
-        cache_edge: GridEdgeId,
-        exit: NodeId,
-        other: NodeId,
-        reserved_until: Seconds,
-    ) -> Result<RoutedTransport, ArchError> {
-        let mut idx = 0;
-        while idx < windows.len() {
-            if idx == 0 || self.width() == 1 {
-                let (c, found) = self.score_one_fetch(to, cache_edge, exit, other, windows[idx]);
-                self.stats.windows_tried += 1;
-                self.stats.absorb(c);
-                if let Some(path) = found {
-                    return Ok(self.commit_fetch(task, path, cache_edge, reserved_until));
-                }
-                idx += 1;
-            } else {
-                let hi = (idx + self.width()).min(windows.len());
-                let outs = self.score_fetch_chunk(to, cache_edge, exit, other, &windows[idx..hi]);
-                for (c, found) in outs {
-                    self.stats.windows_tried += 1;
-                    self.stats.absorb(c);
-                    if let Some(path) = found {
-                        return Ok(self.commit_fetch(task, path, cache_edge, reserved_until));
-                    }
-                }
-                idx = hi;
-            }
-        }
-        Err(ArchError::RoutingFailed {
+        // without being counted.
+        let mut result = Err(ArchError::RoutingFailed {
             from: task.from_device,
             to: task.to_device,
             task: task.describe(),
-        })
-    }
-
-    fn score_one_fetch(
-        &mut self,
-        to: NodeId,
-        cache_edge: GridEdgeId,
-        exit: NodeId,
-        other: NodeId,
-        window: Interval,
-    ) -> (EvalCounters, Option<RoutedPath>) {
-        let _span = telemetry::span("router", "route.path_search");
-        let st = read_state(self.state);
-        let eval = Eval {
-            ctx: self.ctx,
-            state: &st,
-        };
-        let mut c = EvalCounters::default();
-        let found = eval.find_fetch_path(to, cache_edge, exit, other, window, self.scratch, &mut c);
-        (c, found)
-    }
-
-    fn score_fetch_chunk(
-        &mut self,
-        to: NodeId,
-        cache_edge: GridEdgeId,
-        exit: NodeId,
-        other: NodeId,
-        chunk: &[Interval],
-    ) -> Vec<(EvalCounters, Option<RoutedPath>)> {
-        let _span = telemetry::span("router", "route.path_search");
-        let st = read_state(self.state);
-        let eval = Eval {
-            ctx: self.ctx,
-            state: &st,
-        };
-        match self.board {
-            Some(board) if chunk.len() > 1 => board
-                .scatter(
-                    JobKind::Fetch {
-                        to,
-                        cache_edge,
-                        first: exit,
-                        second: other,
-                        windows: chunk.to_vec(),
-                    },
-                    &eval,
+        });
+        for &window in &windows {
+            let beyond_plan = Interval::new(reserved_until.min(window.end), window.end);
+            if !self.state.reservations.edge_free(cache_edge, beyond_plan) {
+                continue;
+            }
+            self.stats.windows_tried += 1;
+            let found = {
+                let _span = telemetry::span("router", "route.path_search");
+                let eval = Eval {
+                    ctx: self.ctx,
+                    state: self.state,
+                };
+                eval.find_fetch_path(
+                    to,
+                    cache_edge,
+                    exit,
+                    other,
+                    window,
                     self.scratch,
+                    self.stats,
                 )
-                .into_iter()
-                .map(|out| match out {
-                    ItemOut::Window(c, p) => (c, p),
-                    _ => unreachable!("window batches answer window items"),
-                })
-                .collect(),
-            _ => chunk
-                .iter()
-                .map(|&window| {
-                    let mut c = EvalCounters::default();
-                    let found = eval.find_fetch_path(
-                        to,
-                        cache_edge,
-                        exit,
-                        other,
-                        window,
-                        self.scratch,
-                        &mut c,
-                    );
-                    (c, found)
-                })
-                .collect(),
+            };
+            if let Some(path) = found {
+                result = Ok(self.commit_fetch(task, path, cache_edge, reserved_until));
+                break;
+            }
         }
+        self.wscratch.out = windows;
+        result
     }
 
     fn commit_fetch(
@@ -2450,18 +1714,15 @@ impl Driver<'_, '_> {
     ) -> RoutedTransport {
         let _span = telemetry::span("router", "route.commit");
         let window = path.window;
-        {
-            let mut st = write_state(self.state);
-            commit_path(&mut st, self.ctx, &path, window, task.deadline, self.stats);
-            // Keep the segment blocked while the sample rests in it past
-            // the originally planned fetch time.
-            st.reservations.reserve_edge(
-                cache_edge,
-                Interval::new(reserved_until.min(window.end), window.end),
-            );
-            st.cache_of_sample.remove(task.sample);
-            st.active_caches[cache_edge.index()] = None;
-        }
+        commit_path(
+            self.state,
+            self.ctx,
+            &path,
+            window,
+            task.deadline,
+            self.stats,
+        );
+        release_sample(self.state, task.sample, cache_edge, reserved_until, window);
         let mut routed_task = task.clone();
         routed_task.window_start = window.start;
         routed_task.window_end = window.end;
@@ -2473,23 +1734,70 @@ impl Driver<'_, '_> {
     }
 }
 
+/// Parks a stored sample in its cache segment: blocks the segment from the
+/// moment the sample arrives until the end of its planned fetch window —
+/// plus the allowed postponement on scale grids, so a delayed fetch still
+/// owns the segment while the sample rests past the plan — so no later task
+/// can claim the segment for the very instant the sample has to leave it.
+/// The segment's end nodes stay passable for other paths (the paper's
+/// exception).
+fn cache_sample(
+    st: &mut RouteState,
+    ctx: &RouteCtx<'_>,
+    sample: usize,
+    edge: GridEdgeId,
+    exit: NodeId,
+    horizon: &StoreHorizon,
+) {
+    let reserved_until = if ctx.scale_mode {
+        horizon.planned_fetch.end + ctx.options.max_deadline_overrun
+    } else {
+        horizon.planned_fetch.end
+    };
+    st.reservations
+        .reserve_edge(edge, Interval::new(horizon.storage.start, reserved_until));
+    st.cache_of_sample.set(sample, (edge, exit));
+    if st.cache_pool.insert(edge) {
+        st.pool_log.push(edge);
+    }
+    st.active_caches[edge.index()] = Some(CacheInfo {
+        blocked: Interval::new(horizon.blocked.start, reserved_until),
+        reserved: Interval::new(horizon.storage.start, reserved_until),
+        fetch_window: horizon.planned_fetch,
+        reserved_until,
+    });
+}
+
+/// Frees a fetched sample's cache segment, keeping it blocked while the
+/// sample rested in it past the originally planned fetch time.
+fn release_sample(
+    st: &mut RouteState,
+    sample: usize,
+    edge: GridEdgeId,
+    reserved_until: Seconds,
+    window: Interval,
+) {
+    st.reservations.reserve_edge(
+        edge,
+        Interval::new(reserved_until.min(window.end), window.end),
+    );
+    st.cache_of_sample.remove(sample);
+    st.active_caches[edge.index()] = None;
+}
+
 /// The incremental routing engine.
 ///
 /// Tasks must be routed in the order returned by
 /// [`extract_transport_tasks`](crate::extract_transport_tasks) (ascending
 /// window start); each successful route immediately reserves its resources.
-/// [`Router::route_all`] additionally spins up a scoped scoring pool when
-/// [`with_threads`](Router::with_threads) asked for more than one thread —
-/// the result is bit-identical to the sequential loop at any thread count.
 #[derive(Debug)]
 pub struct Router<'a> {
     ctx: RouteCtx<'a>,
-    state: RwLock<RouteState>,
+    state: RouteState,
     lazy: LazyIndexes,
     scratch: DijkstraScratch,
     wscratch: WindowScratch,
     stats: RouterStats,
-    threads: usize,
 }
 
 impl<'a> Router<'a> {
@@ -2538,21 +1846,12 @@ impl<'a> Router<'a> {
                 assists: scale_mode,
                 scale_mode,
             },
-            state: RwLock::new(RouteState::new(grid)),
+            state: RouteState::new(grid),
             lazy: LazyIndexes::default(),
             scratch: DijkstraScratch::for_grid(grid),
             wscratch: WindowScratch::default(),
             stats: RouterStats::default(),
-            threads: 1,
         }
-    }
-
-    /// Sets the scoring-thread count used by [`route_all`](Router::route_all)
-    /// (clamped to at least 1; the chip produced never depends on it).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Arms or disarms the oracle's reject-only search assists (destination
@@ -2572,8 +1871,8 @@ impl<'a> Router<'a> {
         self.stats.oracle_builds += 1;
     }
 
-    /// A pristine router over the same grid, placement, options, oracle and
-    /// thread count — used to restart cold after a failed warm-start
+    /// A pristine router over the same grid, placement, options and oracle —
+    /// used to restart cold after a failed warm-start
     /// replay, since a partial replay has already mutated this router's
     /// reservations. The oracle `Arc` is carried over, not rebuilt.
     #[must_use]
@@ -2584,35 +1883,25 @@ impl<'a> Router<'a> {
             self.ctx.options.clone(),
             Arc::clone(&self.ctx.oracle),
         )
-        .with_threads(self.threads)
         .with_oracle_assists(self.ctx.assists)
-    }
-
-    fn state_mut(&mut self) -> &mut RouteState {
-        let state = self
-            .state
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.generation += 1;
-        state
     }
 
     /// Edges used by at least one routed path so far, in ascending id order.
     #[must_use]
     pub fn used_edges(&self) -> Vec<GridEdgeId> {
-        read_state(&self.state).used_edges.to_vec()
+        self.state.used_edges.to_vec()
     }
 
     /// Number of distinct edges used by the routed paths so far.
     #[must_use]
     pub fn used_edge_count(&self) -> usize {
-        read_state(&self.state).used_edges.len()
+        self.state.used_edges.len()
     }
 
     /// The reservation table built up so far.
     #[must_use]
-    pub fn reservations(&mut self) -> &ReservationTable {
-        &self.state_mut().reservations
+    pub fn reservations(&self) -> &ReservationTable {
+        &self.state.reservations
     }
 
     /// The per-stage work counters accumulated so far.
@@ -2634,16 +1923,15 @@ impl<'a> Router<'a> {
     /// inside the task's slack and [`ArchError::NoStorageSegment`] when no
     /// channel segment can cache the sample for its storage interval.
     pub fn route(&mut self, task: &TransportTask) -> Result<RoutedTransport, ArchError> {
-        let mut driver = Driver {
+        Driver {
             ctx: &self.ctx,
-            state: &self.state,
+            state: &mut self.state,
             lazy: &mut self.lazy,
             scratch: &mut self.scratch,
             wscratch: &mut self.wscratch,
             stats: &mut self.stats,
-            board: None,
-        };
-        driver.route_task(task)
+        }
+        .route_task(task)
     }
 
     /// Re-commits a transport that an earlier run of this deterministic
@@ -2686,10 +1974,7 @@ impl<'a> Router<'a> {
         }
         let ctx = &self.ctx;
         let stats = &mut self.stats;
-        let st = self
-            .state
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let st = &mut self.state;
         let path = &routed.path;
         match task.kind {
             TransportKind::Direct => {
@@ -2714,23 +1999,7 @@ impl<'a> Router<'a> {
                     .unwrap_or(task.deadline);
                 let horizon = StoreHorizon::new(task, path.window, stored_until);
                 commit_path(st, ctx, path, horizon.store_window, task.deadline, stats);
-                let reserved_until = if ctx.scale_mode {
-                    horizon.planned_fetch.end + ctx.options.max_deadline_overrun
-                } else {
-                    horizon.planned_fetch.end
-                };
-                st.reservations
-                    .reserve_edge(edge, Interval::new(horizon.storage.start, reserved_until));
-                st.cache_of_sample.set(task.sample, (edge, exit));
-                if st.cache_pool.insert(edge) {
-                    st.pool_log.push(edge);
-                }
-                st.active_caches[edge.index()] = Some(CacheInfo {
-                    blocked: Interval::new(horizon.blocked.start, reserved_until),
-                    reserved: Interval::new(horizon.storage.start, reserved_until),
-                    fetch_window: horizon.planned_fetch,
-                    reserved_until,
-                });
+                cache_sample(st, ctx, task.sample, edge, exit, &horizon);
             }
             TransportKind::Fetch => {
                 let edge = routed.cache_edge.ok_or_else(|| ArchError::Inconsistent {
@@ -2754,37 +2023,24 @@ impl<'a> Router<'a> {
                 }
                 let reserved_until = st.active_caches[edge.index()]
                     .map_or(task.window_end, |info| info.reserved_until);
-                let window = path.window;
-                commit_path(st, ctx, path, window, task.deadline, stats);
-                st.reservations.reserve_edge(
-                    edge,
-                    Interval::new(reserved_until.min(window.end), window.end),
-                );
-                st.cache_of_sample.remove(task.sample);
-                st.active_caches[edge.index()] = None;
+                commit_path(st, ctx, path, path.window, task.deadline, stats);
+                release_sample(st, task.sample, edge, reserved_until, path.window);
             }
         }
         Ok(())
     }
 
-    /// Routes every task in order, fanning the pure scoring work (candidate
-    /// windows, cache-segment pricing and claim probes) over a scoped
-    /// thread pool when more than one thread is configured.
-    ///
-    /// The commit order is the task order, every winner is reduced by
-    /// candidate index, and scoring reads frozen state snapshots — so the
-    /// routed result and the [`RouterStats`] are byte-identical to the
-    /// sequential `for task { route(task) }` loop at any thread count.
+    /// Routes every task in order — the `for task { route(task) }` loop —
+    /// and reports the accumulated [`RouterStats`] to telemetry.
     ///
     /// # Errors
     ///
-    /// Propagates the first routing failure, exactly like the sequential
-    /// loop would.
+    /// Propagates the first routing failure.
     pub fn route_all(
         &mut self,
         tasks: &[TransportTask],
     ) -> Result<Vec<RoutedTransport>, ArchError> {
-        let result = self.route_all_inner(tasks);
+        let result = tasks.iter().map(|t| self.route(t)).collect();
         // Fold the per-stage work counters into the trace as a point event;
         // telemetry only observes the (deterministic) stats, never feeds
         // anything back.
@@ -2812,43 +2068,6 @@ impl<'a> Router<'a> {
         );
         result
     }
-
-    fn route_all_inner(
-        &mut self,
-        tasks: &[TransportTask],
-    ) -> Result<Vec<RoutedTransport>, ArchError> {
-        let threads = self.threads;
-        if threads <= 1 || tasks.len() <= 1 {
-            return tasks.iter().map(|t| self.route(t)).collect();
-        }
-        let ctx = &self.ctx;
-        let state = &self.state;
-        let lazy = &mut self.lazy;
-        let scratch = &mut self.scratch;
-        let wscratch = &mut self.wscratch;
-        let stats = &mut self.stats;
-        let board = Board::new(ctx, state, threads);
-        std::thread::scope(|scope| {
-            for worker in 0..threads - 1 {
-                let board = &board;
-                std::thread::Builder::new()
-                    .name(format!("biochip-score-{worker}"))
-                    .spawn_scoped(scope, move || board.worker_loop())
-                    .expect("scoring threads can always be spawned");
-            }
-            let _guard = ShutdownGuard(&board);
-            let mut driver = Driver {
-                ctx,
-                state,
-                lazy,
-                scratch,
-                wscratch,
-                stats,
-                board: Some(&board),
-            };
-            tasks.iter().map(|t| driver.route_task(t)).collect()
-        })
-    }
 }
 
 #[cfg(test)]
@@ -2870,13 +2089,9 @@ mod tests {
     ) -> Vec<Interval> {
         let mut out = Vec::new();
         let mut ws = WindowScratch::default();
-        let state = router
-            .state
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let eval = Eval {
             ctx: &router.ctx,
-            state,
+            state: &router.state,
         };
         eval.candidate_windows(task, allow_overrun, &mut ws, &mut out);
         out
@@ -3115,7 +2330,7 @@ mod tests {
         ] {
             for &edge in grid.incident_edges(node) {
                 router
-                    .state_mut()
+                    .state
                     .reservations
                     .reserve_edge(edge, Interval::new(0, 23));
             }
@@ -3220,7 +2435,7 @@ mod tests {
     }
 
     /// A congested task mix covering all three kinds with slack (so the
-    /// window stage actually staggers) for the threaded-equality tests.
+    /// window stage actually staggers).
     fn congested_tasks() -> Vec<TransportTask> {
         let mut tasks = Vec::new();
         for i in 0..6 {
@@ -3244,44 +2459,35 @@ mod tests {
     }
 
     #[test]
-    fn route_all_is_bit_identical_across_thread_counts() {
+    fn route_all_propagates_failures_like_the_sequential_loop() {
+        // Success: `route_all` is the `route` loop, stats and all.
         for grid_side in [4, 10] {
             let grid = ConnectionGrid::square(grid_side);
             let placement = make_placement(&grid, 3);
             let tasks = congested_tasks();
-
             let mut sequential = Router::new(&grid, &placement, RoutingOptions::default());
-            let baseline: Vec<RoutedTransport> =
+            let expected: Vec<RoutedTransport> =
                 tasks.iter().map(|t| sequential.route(t).unwrap()).collect();
-
-            for threads in [2, 4, 8] {
-                let mut parallel =
-                    Router::new(&grid, &placement, RoutingOptions::default()).with_threads(threads);
-                let routed = parallel.route_all(&tasks).unwrap();
-                assert_eq!(routed, baseline, "side {grid_side}, {threads} threads");
-                assert_eq!(
-                    parallel.stats(),
-                    sequential.stats(),
-                    "side {grid_side}, {threads} threads: stage counters diverged"
-                );
-                assert_eq!(parallel.used_edges(), sequential.used_edges());
-            }
+            let mut batch = Router::new(&grid, &placement, RoutingOptions::default());
+            assert_eq!(
+                batch.route_all(&tasks).unwrap(),
+                expected,
+                "side {grid_side}"
+            );
+            assert_eq!(batch.stats(), sequential.stats(), "side {grid_side}");
+            assert_eq!(batch.used_edges(), sequential.used_edges());
         }
-    }
 
-    #[test]
-    fn route_all_propagates_failures_like_the_sequential_loop() {
+        // Failure: the first error of the loop, after the same prefix.
         let grid = ConnectionGrid::new(1, 2);
         let placement = make_placement(&grid, 2);
         let tasks = vec![direct_task(0, 1, 0, 5), direct_task(1, 0, 0, 5)];
         let mut sequential = Router::new(&grid, &placement, RoutingOptions::default());
-        let expected = sequential.route(&tasks[0]).unwrap();
+        sequential.route(&tasks[0]).unwrap();
         let expected_err = sequential.route(&tasks[1]).unwrap_err();
-
-        let mut parallel =
-            Router::new(&grid, &placement, RoutingOptions::default()).with_threads(4);
-        let err = parallel.route_all(&tasks).unwrap_err();
+        let mut batch = Router::new(&grid, &placement, RoutingOptions::default());
+        let err = batch.route_all(&tasks).unwrap_err();
         assert_eq!(format!("{err}"), format!("{expected_err}"));
-        let _ = expected;
+        assert_eq!(batch.stats(), sequential.stats());
     }
 }

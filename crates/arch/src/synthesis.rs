@@ -11,8 +11,7 @@ use crate::connection_graph::{Architecture, ConnectionGraph, RoutedTransport};
 use crate::error::ArchError;
 use crate::grid::ConnectionGrid;
 use crate::oracle::OracleCache;
-use crate::parallel::Parallelism;
-use crate::placement::{place_devices_threaded, Placement, PlacementOptions, TrafficMatrix};
+use crate::placement::{place_devices, Placement, PlacementOptions, TrafficMatrix};
 use crate::routing::{Router, RouterStats, RoutingOptions};
 use crate::transport::{extract_transport_tasks, TransportTask};
 
@@ -176,8 +175,7 @@ fn relaxed_routing(base: &RoutingOptions, problem: &ScheduleProblem) -> RoutingO
 /// annealer except the `warm_start` switch itself (which gates adoption but
 /// never changes what cold placement would compute).
 fn placement_inputs_equal(a: &PlacementOptions, b: &PlacementOptions) -> bool {
-    (a.refine, a.annealing_moves, a.seed, a.starts)
-        == (b.refine, b.annealing_moves, b.seed, b.starts)
+    (a.refine, a.annealing_moves, a.seed) == (b.refine, b.annealing_moves, b.seed)
 }
 
 /// Where a synthesis run gets its [`RoutingOracle`](crate::RoutingOracle)s
@@ -206,7 +204,6 @@ impl PartialEq for OracleBinding {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ArchitectureSynthesizer {
     options: SynthesisOptions,
-    parallelism: Parallelism,
     warm: Option<WarmStart>,
     oracle: OracleBinding,
 }
@@ -217,7 +214,6 @@ impl ArchitectureSynthesizer {
     pub fn new(options: SynthesisOptions) -> Self {
         ArchitectureSynthesizer {
             options,
-            parallelism: Parallelism::default(),
             warm: None,
             oracle: OracleBinding::default(),
         }
@@ -251,26 +247,10 @@ impl ArchitectureSynthesizer {
         self
     }
 
-    /// Sets the intra-job parallelism policy. The thread count never
-    /// changes the synthesized chip — multi-start placement reduces by
-    /// `(cost, start index)` and the router's parallel scoring reduces by
-    /// candidate order — it only changes how fast the chip is found.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
     /// The configured options.
     #[must_use]
     pub fn options(&self) -> &SynthesisOptions {
         &self.options
-    }
-
-    /// The configured parallelism policy.
-    #[must_use]
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// Synthesizes the chip architecture for a scheduled assay.
@@ -433,7 +413,6 @@ impl ArchitectureSynthesizer {
         warm: Option<&WarmStart>,
         oracles: &OracleCache,
     ) -> Result<(Architecture, SynthesisStats, WarmReuse), ArchError> {
-        let threads = self.parallelism.effective_threads();
         let num_devices = problem.devices().len();
         let mut reuse = WarmReuse {
             tasks_total: tasks.len(),
@@ -464,13 +443,12 @@ impl ArchitectureSynthesizer {
             }
             None => {
                 let _span = telemetry::span("pipeline", "place");
-                place_devices_threaded(grid, num_devices, tasks, &self.options.placement, threads)?
+                place_devices(grid, num_devices, tasks, &self.options.placement)?
             }
         };
 
         let (oracle, built) = oracles.get_or_build(self.oracle.scope.as_deref(), grid, &placement);
-        let mut router =
-            Router::with_oracle(grid, &placement, routing.clone(), oracle).with_threads(threads);
+        let mut router = Router::with_oracle(grid, &placement, routing.clone(), oracle);
         if built {
             router.note_oracle_build();
         }
@@ -706,40 +684,6 @@ mod tests {
                 .count();
             assert_eq!(stores, fetches, "{name}");
         }
-    }
-
-    #[test]
-    fn parallel_synthesis_matches_sequential_bit_for_bit() {
-        for (graph, mixers, detectors) in [(library::ivd(), 2, 1), (library::pcr(), 2, 0)] {
-            let (problem, schedule) = schedule_for(graph, mixers, detectors);
-            let sequential = ArchitectureSynthesizer::default()
-                .synthesize(&problem, &schedule)
-                .unwrap();
-            for threads in [2, 8] {
-                let parallel = ArchitectureSynthesizer::default()
-                    .with_parallelism(Parallelism::with_threads(threads))
-                    .synthesize(&problem, &schedule)
-                    .unwrap();
-                assert_eq!(parallel, sequential, "{threads} threads diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn multi_start_placement_keeps_synthesis_valid() {
-        let (problem, schedule) = schedule_for(library::ivd(), 2, 1);
-        let mut options = SynthesisOptions::default();
-        options.placement.starts = 4;
-        let a = ArchitectureSynthesizer::new(options.clone())
-            .with_parallelism(Parallelism::with_threads(4))
-            .synthesize(&problem, &schedule)
-            .unwrap();
-        a.verify().unwrap();
-        // Same starts, different thread count: same chip.
-        let b = ArchitectureSynthesizer::new(options)
-            .synthesize(&problem, &schedule)
-            .unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -179,41 +179,6 @@ fn paper_benchmarks_stay_no_worse_than_the_pre_refactor_goldens() {
 }
 
 #[test]
-fn single_start_parallel_synthesis_reproduces_the_pre_parallel_goldens() {
-    // K = 1 multi-start must reproduce the committed pre-parallel results
-    // exactly — the default `starts: 1` runs the historical RNG stream —
-    // and the thread count must not matter either: the same `(n_e, n_v)`
-    // bounds that pin the sequential router pin the 8-thread router.
-    use biochip_arch::Parallelism;
-    for (name, golden_tasks, golden_edges, golden_valves) in PAPER_GOLDEN {
-        let graph = library::paper_benchmarks()
-            .into_iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, g)| g)
-            .expect("benchmark exists");
-        let (problem, schedule) = paper_case(graph);
-        assert_eq!(
-            extract_transport_tasks(&problem, &schedule).len(),
-            golden_tasks,
-            "{name}"
-        );
-        let sequential = ArchitectureSynthesizer::new(SynthesisOptions::default())
-            .synthesize(&problem, &schedule)
-            .unwrap_or_else(|e| panic!("{name}: sequential synthesis failed: {e}"));
-        let threaded = ArchitectureSynthesizer::new(SynthesisOptions::default())
-            .with_parallelism(Parallelism::with_threads(8))
-            .synthesize(&problem, &schedule)
-            .unwrap_or_else(|e| panic!("{name}: threaded synthesis failed: {e}"));
-        assert_eq!(
-            threaded, sequential,
-            "{name}: 8-thread chip differs from the sequential chip"
-        );
-        assert!(threaded.used_edge_count() <= golden_edges, "{name}");
-        assert!(threaded.valve_count() <= golden_valves, "{name}");
-    }
-}
-
-#[test]
 fn refactored_router_is_deterministic_across_the_pool() {
     for case in [5, 13, 19, 29, 43] {
         let (problem, schedule) = differential_case(case);

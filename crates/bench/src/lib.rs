@@ -25,8 +25,7 @@ pub use editloop::{
     DEFAULT_EDITLOOP_ASSAYS, DEFAULT_EDITLOOP_EDITS,
 };
 pub use pipeline::{
-    assert_thread_equality, format_pipeline, pipeline_csv, pipeline_rows, pipeline_rows_with_host,
-    PipelineRow, DEFAULT_PIPELINE_ASSAYS,
+    format_pipeline, pipeline_csv, pipeline_rows, PipelineRow, DEFAULT_PIPELINE_ASSAYS,
 };
 pub use scale::{
     format_scale, scale_csv, scale_rows, ScaleRow, DEFAULT_SCALE_MIXERS, DEFAULT_SCALE_SIZES,

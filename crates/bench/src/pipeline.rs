@@ -1,35 +1,22 @@
-//! Cold-pipeline parallel sweep: per-stage latency and multi-core speedup.
+//! Cold-pipeline sweep: per-stage latency of one cold run per assay.
 //!
 //! `BENCH_arch.json` tracks the router's throughput; this sweep tracks the
-//! whole **cold path** — schedule → place → route → layout → replay — per
-//! thread count, for the scale assays the job service actually serves cold
-//! (RA1K and RA10K). Stage times come from the telemetry spans the pipeline
-//! records anyway (the run executes under
-//! [`biochip_telemetry::with_collection`]); only the end-to-end total is a
-//! stopwatch, so the stages may sum to slightly less than the total (task
-//! extraction, verification and span bookkeeping live between spans). Each
-//! row also records the outcome's `output_key`: the canonical content hash
-//! of the timing- and search-effort-stripped report, the schedule and the
-//! replay (see `SynthesisOutcome::output_key`). The synthesizer's
-//! parallelism is **bit-deterministic** — multi-start placement reduces by
-//! `(cost, start index)`, router scoring by candidate order — so the key
-//! must be identical across thread counts; [`assert_thread_equality`]
-//! enforces exactly that and the `pipeline` bin fails CI when it does not
-//! hold.
+//! whole **cold path** — schedule → place → route → layout → replay — for
+//! the scale assays the job service actually serves cold (RA1K and RA10K).
+//! Stage times come from the telemetry spans the pipeline records anyway
+//! (the run executes under [`biochip_telemetry::with_collection`]); only the
+//! end-to-end total is a stopwatch, so the stages may sum to slightly less
+//! than the total (task extraction, verification and span bookkeeping live
+//! between spans). Each row also records the outcome's `output_key`: the
+//! canonical content hash of the timing- and search-effort-stripped report,
+//! the schedule and the replay (see `SynthesisOutcome::output_key`), so a
+//! row shows which chip its time bought.
 //!
-//! **Honesty about host parallelism:** a row benched with more threads than
-//! the host has cores measures oversubscription, not speedup. Such rows are
-//! marked `undersubscribed` and get no `speedup_vs_single` — CI still
-//! compares their `output_key` (determinism holds at any thread count) but
-//! never reads a "speedup" off them.
-//!
-//! Run it with `cargo run --release -p biochip-bench --bin pipeline`
-//! (positional args = thread counts, default `1 <cores>`) or
-//! `biochip bench pipeline [--threads 1,4] [--assays RA1K,RA10K]`.
+//! Run it with `cargo run --release -p biochip-bench --bin pipeline` or
+//! `biochip bench pipeline`.
 
 use std::time::Instant;
 
-use biochip_synth::arch::Parallelism;
 use biochip_synth::assay::library;
 use biochip_synth::{SynthesisConfig, SynthesisFlow};
 use biochip_telemetry as telemetry;
@@ -40,15 +27,13 @@ use crate::BenchError;
 /// smoke runs, under the same 8-mixer inventory.
 pub const DEFAULT_PIPELINE_ASSAYS: &[&str] = &["RA1K", "RA10K"];
 
-/// One row of the pipeline sweep: one assay, cold, at one thread count.
+/// One row of the pipeline sweep: one assay, cold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineRow {
     /// Assay name.
     pub assay: String,
     /// Number of device operations.
     pub operations: usize,
-    /// Scoring threads the synthesizer was allowed.
-    pub threads: usize,
     /// Scheduling wall seconds (the pipeline's `"schedule"` span).
     pub schedule_seconds: f64,
     /// Placement wall seconds (`"place"` spans, all grid attempts).
@@ -71,16 +56,8 @@ pub struct PipelineRow {
     /// End-to-end cold wall seconds (stopwatch around the whole run; the
     /// stages above may sum to slightly less).
     pub total_seconds: f64,
-    /// `true` when the row was benched with more threads than the host has
-    /// cores — its wall times measure oversubscription, not parallel
-    /// speedup, so `speedup_vs_single` is withheld.
-    pub undersubscribed: bool,
-    /// `total_seconds(threads = 1) / total_seconds` for the same assay
-    /// (`1.0` for the single-thread row itself); absent on undersubscribed
-    /// rows.
-    pub speedup_vs_single: Option<f64>,
     /// Canonical content hash of the timing-stripped outcome (report,
-    /// schedule, replay). Must be identical across thread counts.
+    /// schedule, replay).
     pub output_key: String,
     /// Grid attempts the synthesizer needed.
     pub grids_tried: usize,
@@ -89,7 +66,6 @@ pub struct PipelineRow {
 biochip_json::impl_json_struct!(PipelineRow {
     assay,
     operations,
-    threads,
     schedule_seconds,
     place_seconds,
     route_seconds,
@@ -99,8 +75,6 @@ biochip_json::impl_json_struct!(PipelineRow {
     layout_seconds,
     replay_seconds,
     total_seconds,
-    undersubscribed,
-    speedup_vs_single,
     output_key,
     grids_tried,
 });
@@ -117,21 +91,30 @@ fn span_seconds(events: &[telemetry::SpanEvent], name: &str) -> f64 {
         .sum()
 }
 
-/// Runs one assay cold at one thread count, reading the per-stage times off
-/// the pipeline's telemetry spans.
-fn run_cold(name: &str, threads: usize, host_threads: usize) -> Result<PipelineRow, BenchError> {
+/// Runs one assay cold, reading the per-stage times off the pipeline's
+/// telemetry spans.
+fn run_cold(name: &str) -> Result<PipelineRow, BenchError> {
     let graph = library::by_name(name).ok_or_else(|| BenchError::UnknownBenchmark {
         name: name.to_owned(),
         known: library::NAMED_ASSAYS.iter().map(|(n, _)| *n).collect(),
     })?;
-    let config = SynthesisConfig::default()
-        .with_mixers(8)
-        .with_parallelism(Parallelism::with_threads(threads));
-    let flow = SynthesisFlow::new(config);
+    let flow = SynthesisFlow::new(SynthesisConfig::default().with_mixers(8));
 
     let started = Instant::now();
-    let (result, events) = telemetry::with_collection(|| flow.run(graph));
+    let (result, events) = telemetry::with_collection(|| {
+        telemetry::instant("bench", "pipeline.run", &[]);
+        flow.run(graph)
+    });
     let total_seconds = started.elapsed().as_secs_f64();
+    // The collector is process-wide, so flows running on other threads at
+    // the same time land in it too. The pipeline runs on the calling
+    // thread only: keep that thread's events.
+    let tid = events
+        .iter()
+        .find(|e| e.name == "pipeline.run")
+        .map(|e| e.tid);
+    let events: Vec<telemetry::SpanEvent> =
+        events.into_iter().filter(|e| Some(e.tid) == tid).collect();
     let outcome = result.map_err(|error| BenchError::Synthesis {
         name: name.to_owned(),
         error,
@@ -142,7 +125,6 @@ fn run_cold(name: &str, threads: usize, host_threads: usize) -> Result<PipelineR
     Ok(PipelineRow {
         assay: outcome.report.assay.clone(),
         operations: outcome.report.operations,
-        threads,
         schedule_seconds: span_seconds(&events, "schedule"),
         place_seconds: span_seconds(&events, "place"),
         route_seconds: span_seconds(&events, "route"),
@@ -152,112 +134,31 @@ fn run_cold(name: &str, threads: usize, host_threads: usize) -> Result<PipelineR
         layout_seconds: span_seconds(&events, "layout"),
         replay_seconds: span_seconds(&events, "replay"),
         total_seconds,
-        undersubscribed: threads > host_threads,
-        speedup_vs_single: None,
         output_key,
         grids_tried: outcome.report.grids_tried,
     })
 }
 
-/// Runs the sweep: every assay × every thread count, speedups filled in
-/// against each assay's `threads = 1` row (or, when 1 was not benched, the
-/// row with the lowest benched thread count). Uses the host's detected core
-/// count to flag undersubscribed rows — see
-/// [`pipeline_rows_with_host`] to pin it (tests, reproducibility).
+/// Runs the sweep: every assay once, cold, in order.
 ///
 /// # Errors
 ///
 /// Returns a [`BenchError`] for unknown assay names and synthesis failures.
-pub fn pipeline_rows(
-    assays: &[&str],
-    thread_counts: &[usize],
-) -> Result<Vec<PipelineRow>, BenchError> {
-    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    pipeline_rows_with_host(assays, thread_counts, host)
+pub fn pipeline_rows(assays: &[&str]) -> Result<Vec<PipelineRow>, BenchError> {
+    assays.iter().map(|name| run_cold(name)).collect()
 }
 
-/// [`pipeline_rows`] with an explicit host core count. Rows benched with
-/// `threads > host_threads` are marked [`PipelineRow::undersubscribed`] and
-/// excluded from `speedup_vs_single` — their wall times measure thread
-/// oversubscription, not parallelism.
-///
-/// # Errors
-///
-/// Returns a [`BenchError`] for unknown assay names and synthesis failures.
-pub fn pipeline_rows_with_host(
-    assays: &[&str],
-    thread_counts: &[usize],
-    host_threads: usize,
-) -> Result<Vec<PipelineRow>, BenchError> {
-    let mut rows = Vec::with_capacity(assays.len() * thread_counts.len());
-    for &name in assays {
-        let first = rows.len();
-        for &threads in thread_counts {
-            rows.push(run_cold(name, threads.max(1), host_threads)?);
-        }
-        let base_total = rows[first..]
-            .iter()
-            .min_by_key(|r| r.threads)
-            .map(|r| r.total_seconds)
-            .unwrap_or(0.0);
-        for row in &mut rows[first..] {
-            row.speedup_vs_single = if row.undersubscribed {
-                None
-            } else if row.total_seconds > 0.0 {
-                Some(base_total / row.total_seconds)
-            } else {
-                Some(1.0)
-            };
-        }
-    }
-    Ok(rows)
-}
-
-/// Verifies that every assay produced one identical `output_key` across all
-/// benched thread counts. Undersubscribed rows are **not** exempt:
-/// determinism must hold at any thread count, on any host.
-///
-/// # Errors
-///
-/// Returns a description of the first divergence — the CI gate that fails
-/// the job when threaded output differs from sequential output.
-pub fn assert_thread_equality(rows: &[PipelineRow]) -> Result<(), String> {
-    for row in rows {
-        let baseline = rows
-            .iter()
-            .find(|r| r.assay == row.assay)
-            .expect("row's own assay is present");
-        if row.output_key != baseline.output_key {
-            return Err(format!(
-                "{}: output at {} thread(s) [{}] differs from {} thread(s) [{}] — \
-                 parallel synthesis must be bit-identical",
-                row.assay, row.threads, row.output_key, baseline.threads, baseline.output_key
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn format_speedup(row: &PipelineRow) -> String {
-    match row.speedup_vs_single {
-        Some(speedup) => format!("{speedup:.2}"),
-        None => "n/a".to_owned(),
-    }
-}
-
-/// Formats the pipeline sweep as an aligned text table. Undersubscribed
-/// rows show `n/a` in the speedup column and are flagged `oversub`.
+/// Formats the pipeline sweep as an aligned text table.
 #[must_use]
 pub fn format_pipeline(rows: &[PipelineRow]) -> String {
     let mut out = String::from(
-        "assay     |O|     thr  t_sched(s)  t_place(s)  t_route(s)  t_win(s)    t_path(s)   t_commit(s)  t_layout(s)  t_replay(s)  total(s)  speedup  key\n",
+        "assay     |O|     t_sched(s)  t_place(s)  t_route(s)  t_win(s)    t_path(s)   t_commit(s)  t_layout(s)  t_replay(s)  total(s)  key\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{:<9} {:<7} {:<4} {:<11.4} {:<11.4} {:<11.4} {:<11.4} {:<11.4} {:<12.4} {:<12.4} {:<12.4} {:<9.4} {:<8} {}{}\n",
+            "{:<9} {:<7} {:<11.4} {:<11.4} {:<11.4} {:<11.4} {:<11.4} {:<12.4} {:<12.4} {:<12.4} {:<9.4} {}\n",
             r.assay,
             r.operations,
-            r.threads,
             r.schedule_seconds,
             r.place_seconds,
             r.route_seconds,
@@ -267,9 +168,7 @@ pub fn format_pipeline(rows: &[PipelineRow]) -> String {
             r.layout_seconds,
             r.replay_seconds,
             r.total_seconds,
-            format_speedup(r),
             r.output_key,
-            if r.undersubscribed { "  (oversub)" } else { "" },
         ));
     }
     out
@@ -279,14 +178,13 @@ pub fn format_pipeline(rows: &[PipelineRow]) -> String {
 #[must_use]
 pub fn pipeline_csv(rows: &[PipelineRow]) -> String {
     let mut out = String::from(
-        "assay,operations,threads,schedule_seconds,place_seconds,route_seconds,window_select_seconds,path_search_seconds,commit_seconds,layout_seconds,replay_seconds,total_seconds,undersubscribed,speedup_vs_single,output_key,grids_tried\n",
+        "assay,operations,schedule_seconds,place_seconds,route_seconds,window_select_seconds,path_search_seconds,commit_seconds,layout_seconds,replay_seconds,total_seconds,output_key,grids_tried\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{},{},{},{}\n",
+            "{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{},{}\n",
             r.assay,
             r.operations,
-            r.threads,
             r.schedule_seconds,
             r.place_seconds,
             r.route_seconds,
@@ -296,8 +194,6 @@ pub fn pipeline_csv(rows: &[PipelineRow]) -> String {
             r.layout_seconds,
             r.replay_seconds,
             r.total_seconds,
-            r.undersubscribed,
-            format_speedup(r),
             r.output_key,
             r.grids_tried,
         ));
@@ -310,27 +206,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_pipeline_sweep_is_thread_identical() {
-        // PCR is tiny, so the sweep is fast even in debug builds. The host
-        // core count is pinned high so the rows are never undersubscribed,
-        // whatever machine the test runs on.
-        let rows = pipeline_rows_with_host(&["PCR"], &[1, 2], 64).unwrap();
+    fn small_pipeline_sweep_records_every_stage() {
+        // PCR is tiny, so the sweep is fast even in debug builds.
+        let rows = pipeline_rows(&["PCR", "PCR"]).unwrap();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].threads, 1);
-        assert_eq!(rows[1].threads, 2);
-        assert!((rows[0].speedup_vs_single.unwrap() - 1.0).abs() < 1e-12);
-        assert!(rows[1].speedup_vs_single.is_some());
-        assert!(rows.iter().all(|r| !r.undersubscribed));
         assert_eq!(rows[0].output_key, rows[1].output_key);
-        // The baseline is the threads = 1 row regardless of sweep order.
-        let reversed = pipeline_rows_with_host(&["PCR"], &[2, 1], 64).unwrap();
-        let single = reversed.iter().find(|r| r.threads == 1).unwrap();
-        assert!(
-            (single.speedup_vs_single.unwrap() - 1.0).abs() < 1e-12,
-            "the single-thread row is its own baseline, got {:?}",
-            single.speedup_vs_single
-        );
-        assert_thread_equality(&rows).unwrap();
         assert!(rows.iter().all(|r| r.total_seconds > 0.0));
         // The span-derived stage times are populated and bounded by the
         // stopwatch total.
@@ -369,45 +249,8 @@ mod tests {
     }
 
     #[test]
-    fn undersubscribed_rows_are_flagged_and_excluded_from_speedup() {
-        // Pretend the host has a single core: the threads = 2 row must be
-        // flagged, lose its speedup, and still match the output key.
-        let rows = pipeline_rows_with_host(&["PCR"], &[1, 2], 1).unwrap();
-        let single = rows.iter().find(|r| r.threads == 1).unwrap();
-        let over = rows.iter().find(|r| r.threads == 2).unwrap();
-        assert!(!single.undersubscribed);
-        assert!(single.speedup_vs_single.is_some());
-        assert!(over.undersubscribed);
-        assert_eq!(over.speedup_vs_single, None);
-        assert_eq!(single.output_key, over.output_key);
-        assert_thread_equality(&rows).unwrap();
-        // Rendering: the table says n/a + oversub, the CSV carries the flag,
-        // and the JSON round-trips the Option.
-        let table = format_pipeline(&rows);
-        assert!(table.contains("n/a"));
-        assert!(table.contains("(oversub)"));
-        let csv = pipeline_csv(&rows);
-        assert!(csv.contains(",true,n/a,"));
-        let json = biochip_json::Serialize::to_json(over);
-        let back: PipelineRow = biochip_json::Deserialize::from_json(&json).unwrap();
-        assert_eq!(&back, over);
-    }
-
-    #[test]
-    fn divergent_keys_are_reported() {
-        let mut rows = pipeline_rows_with_host(&["PCR"], &[1], 64).unwrap();
-        let mut forged = rows[0].clone();
-        forged.threads = 4;
-        forged.output_key = "deadbeefdeadbeef".to_owned();
-        rows.push(forged);
-        let err = assert_thread_equality(&rows).unwrap_err();
-        assert!(err.contains("PCR"), "{err}");
-        assert!(err.contains("bit-identical"), "{err}");
-    }
-
-    #[test]
     fn unknown_assays_error_cleanly() {
-        let err = pipeline_rows(&["NOPE"], &[1]).unwrap_err();
+        let err = pipeline_rows(&["NOPE"]).unwrap_err();
         assert!(matches!(err, BenchError::UnknownBenchmark { .. }));
     }
 }

@@ -137,11 +137,6 @@ const CONFIG_SPECS: &[OptionSpec] = &[
         takes_value: true,
         help: "minimum channel pitch for physical design (default 1)",
     },
-    OptionSpec {
-        name: "--threads",
-        takes_value: true,
-        help: "scoring threads for one synthesis (default 1; 0 = all cores; output is thread-count independent)",
-    },
 ];
 
 fn parse_scheduler(raw: &str) -> Result<SchedulerChoice, CliError> {
@@ -191,9 +186,6 @@ fn config_from_args(parsed: &ParsedArgs) -> Result<SynthesisConfig, CliError> {
     }
     if let Some(pitch) = parsed.parse_value::<u64>("--channel-pitch")? {
         config.layout.channel_pitch = pitch.max(1);
-    }
-    if let Some(threads) = parsed.parse_value::<usize>("--threads")? {
-        config.parallelism = biochip_synth::arch::Parallelism::with_threads(threads);
     }
     Ok(config)
 }
@@ -580,6 +572,11 @@ fn cmd_batch(argv: &[String]) -> Result<(), CliError> {
             help: "comma-separated scheduler choices to sweep (default: the --scheduler value)",
         },
         OptionSpec {
+            name: "--threads",
+            takes_value: true,
+            help: "jobs run concurrently, one core each (default: available parallelism)",
+        },
+        OptionSpec {
             name: "--out",
             takes_value: true,
             help: "write the aggregate batch report here (default: stdout)",
@@ -600,12 +597,7 @@ fn cmd_batch(argv: &[String]) -> Result<(), CliError> {
             "batch sweeps --assays (plural); --assay/--input apply to single runs".to_owned(),
         ));
     }
-    let mut base_config = config_from_args(&parsed)?;
-    // In batch mode `--threads` sizes the *job pool*; the jobs themselves
-    // stay sequential (one core each) — inter-job parallelism already
-    // saturates the machine, and oversubscribing cores per job would only
-    // add contention.
-    base_config.parallelism = biochip_synth::arch::Parallelism::sequential();
+    let base_config = config_from_args(&parsed)?;
 
     let assay_names = parsed
         .list_value("--assays")
@@ -721,14 +713,10 @@ fn cmd_serve(argv: &[String]) -> Result<(), CliError> {
             help: "content-addressed result-cache entries (default 64)",
         },
         OptionSpec {
-            name: "--threads",
-            takes_value: true,
-            help: "scoring threads per cold job (default 0 = borrow idle workers; capped at 2x cores / workers)",
-        },
-        OptionSpec {
             name: "--data-dir",
             takes_value: true,
-            help: "directory for the crash-safe result store and job journal (default: memory only)",
+            help:
+                "directory for the crash-safe result store and job journal (default: memory only)",
         },
         OptionSpec {
             name: "--store-mb",
@@ -773,9 +761,6 @@ fn cmd_serve(argv: &[String]) -> Result<(), CliError> {
     }
     if let Some(capacity) = parsed.parse_value::<usize>("--cache-capacity")? {
         options.cache_capacity = capacity;
-    }
-    if let Some(threads) = parsed.parse_value::<usize>("--threads")? {
-        options.threads_per_job = threads;
     }
     if let Some(dir) = parsed.value("--data-dir") {
         options.data_dir = Some(dir.to_owned());
@@ -839,11 +824,6 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
             help: "scale/arch only: mixer count for the sweep (default 8)",
         },
         OptionSpec {
-            name: "--threads",
-            takes_value: true,
-            help: "pipeline only: comma-separated thread counts (default 1,<cores>)",
-        },
-        OptionSpec {
             name: "--assays",
             takes_value: true,
             help: "editloop only: comma-separated assay names (default RA1K)",
@@ -860,8 +840,7 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
             "Reproduces the paper's evaluation numbers; `bench scale` sweeps\n\
              the list scheduler, `bench arch` sweeps place & route over the\n\
              RA1K/RA10K-style scale workloads, `bench pipeline` measures\n\
-             the cold pipeline's per-stage latency and multi-core speedup\n\
-             (and fails if output differs across thread counts), and\n\
+             the cold pipeline's per-stage latency on RA1K and RA10K, and\n\
              `bench editloop` replays single-edit resynthesis warm vs. cold\n\
              (and fails if any warm output key diverges from cold).",
             &specs,
@@ -888,11 +867,6 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
             "--sizes/--mixers only apply to `biochip bench scale` or `bench arch`".to_owned(),
         ));
     }
-    if what != "pipeline" && parsed.value("--threads").is_some() {
-        return Err(CliError::usage(
-            "--threads only applies to `biochip bench pipeline`".to_owned(),
-        ));
-    }
     if what != "editloop"
         && (parsed.value("--assays").is_some() || parsed.value("--edits").is_some())
     {
@@ -903,33 +877,8 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
     let format = parsed.value("--format").unwrap_or("text");
     let contents = match (what, format) {
         ("pipeline", "json" | "csv" | "text") => {
-            let threads: Vec<usize> = match parsed.list_value("--threads") {
-                Some(raw) => raw
-                    .iter()
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| {
-                            CliError::usage(format!("invalid thread count `{s}`: {e}"))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-                None => {
-                    let host = biochip_pool::default_workers();
-                    let mut defaults = vec![1, host];
-                    defaults.dedup();
-                    defaults
-                }
-            };
-            if threads.is_empty() || threads.contains(&0) {
-                return Err(CliError::usage(
-                    "--threads needs at least one non-zero thread count".to_owned(),
-                ));
-            }
-            let rows =
-                biochip_bench::pipeline_rows(biochip_bench::DEFAULT_PIPELINE_ASSAYS, &threads)
-                    .map_err(|e| CliError::runtime(format!("pipeline sweep failed: {e}")))?;
-            biochip_bench::assert_thread_equality(&rows).map_err(|divergence| {
-                CliError::runtime(format!("DETERMINISM FAILURE: {divergence}"))
-            })?;
+            let rows = biochip_bench::pipeline_rows(biochip_bench::DEFAULT_PIPELINE_ASSAYS)
+                .map_err(|e| CliError::runtime(format!("pipeline sweep failed: {e}")))?;
             match format {
                 "json" => biochip_json::to_string_pretty(&rows),
                 "csv" => biochip_bench::pipeline_csv(&rows),

@@ -237,6 +237,32 @@ mod tests {
     }
 
     #[test]
+    fn legacy_parallelism_and_starts_fields_still_load() {
+        // A handoff written while per-job `parallelism` and multi-start
+        // placement existed.
+        let state = PipelineState::new("PCR", SynthesisConfig::default());
+        let legacy = |starts: usize| {
+            state
+                .to_json_text()
+                .replacen(
+                    "\"config\": {",
+                    "\"config\": {\"parallelism\": {\"threads\": 8},",
+                    1,
+                )
+                .replacen(
+                    "\"warm_start\"",
+                    &format!("\"starts\": {starts}, \"warm_start\""),
+                    1,
+                )
+        };
+        assert!(legacy(1).contains("\"parallelism\""));
+        let back = PipelineState::from_json_text(&legacy(1), "old.json").unwrap();
+        assert_eq!(back.config, state.config);
+        let err = PipelineState::from_json_text(&legacy(3), "old.json").unwrap_err();
+        assert!(err.message.contains("field `starts`"), "{}", err.message);
+    }
+
+    #[test]
     fn schema_mismatch_is_rejected() {
         let mut state = PipelineState::new("PCR", SynthesisConfig::default());
         state.schema = "biochip-pipeline/v999".to_owned();

@@ -2,10 +2,9 @@
 //! panic-safety contracts.
 //!
 //! The load-bearing invariant of this workspace is that synthesis output is
-//! **bit-identical** across thread counts, warm vs. cold starts, and oracle
-//! on/off. The dynamic gates (`parallel_determinism.rs`,
-//! `warm_determinism.rs`, `oracle_equivalence.rs`, the CI `output_key`
-//! comparisons) catch a violation only when a test seed happens to exercise
+//! **bit-identical** across runs, warm vs. cold starts, and oracle on/off.
+//! The dynamic gates (`warm_determinism.rs`, `oracle_equivalence.rs`, the
+//! CI `output_key` comparisons) catch a violation only when a test seed happens to exercise
 //! it; this crate catches the *source patterns* that cause violations before
 //! they ever run, plus the panic hazards that PRs 4 and 7 swept by hand.
 //!

@@ -1,9 +1,8 @@
 //! **D3** — RNG construction from nondeterministic sources.
 //!
 //! Every random stream in this workspace is a seeded `biochip_rand`
-//! xoshiro stream, forked with `split_seed` for parallel work — that is
-//! what makes multi-start placement and fanned-out route scoring
-//! reproducible. Constructing an RNG from the environment (`thread_rng`,
+//! xoshiro stream — that is what makes placement annealing and random
+//! assay generation reproducible. Constructing an RNG from the environment (`thread_rng`,
 //! `from_entropy`, `OsRng`, raw `getrandom`) or seeding one from the clock
 //! silently breaks every byte-identity gate, so it is flagged everywhere,
 //! in every crate.
@@ -40,7 +39,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
             tok.line,
             format!(
                 "nondeterministic RNG source `{}` — all randomness must come from \
-                 seeded `biochip_rand` streams (fork with `split_seed`); waive only \
+                 seeded `biochip_rand` streams; waive only \
                  with the reason the stream cannot influence results",
                 tok.text
             ),

@@ -37,13 +37,6 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Result-cache capacity in entries.
     pub cache_capacity: usize,
-    /// Scoring threads a single cold job may use. `1` keeps jobs
-    /// sequential; `0` lets a job **borrow idle pool shards** (1 + the
-    /// workers not currently running a job — a lone cold job on an idle
-    /// server then uses the whole machine). Fixed values are clamped so
-    /// `workers × threads` stays within 2× the host's cores. Never changes
-    /// job results, only their latency.
-    pub threads_per_job: usize,
     /// Data directory for the on-disk result store and job journal.
     /// `None` (the default) keeps everything in memory, exactly as before
     /// durability existed.
@@ -64,7 +57,6 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:7078".to_owned(),
             workers: 0,
             cache_capacity: 64,
-            threads_per_job: 0,
             data_dir: None,
             store_bytes: 256 * 1024 * 1024,
             max_queue_depth: 1024,
@@ -274,10 +266,6 @@ struct ServerState {
     warm_placements: AtomicU64,
     /// Transports committed by warm replay, summed over all jobs.
     warm_tasks_replayed: AtomicU64,
-    /// Worker count of the pool (for the idle-shard borrow computation).
-    workers: usize,
-    /// Per-job scoring threads (0 = adaptive; see [`ServeOptions`]).
-    threads_per_job: usize,
     /// `"<CANONICAL>:<config key>"` → content key. Named submissions of a
     /// scale assay would otherwise regenerate and canonically hash a
     /// multi-thousand-op problem document on every request — with the memo
@@ -407,25 +395,6 @@ impl Server {
         } else {
             options.workers
         };
-        // Cap fixed per-job thread counts so `workers × threads` cannot
-        // oversubscribe the host past 2× its cores (the adaptive `0` mode
-        // is bounded by construction: it only hands out idle shards).
-        let available = biochip_pool::default_workers();
-        let threads_per_job = if options.threads_per_job > 1 {
-            let cap = (2 * available / workers.max(1)).max(1);
-            if options.threads_per_job > cap {
-                eprintln!(
-                    "biochip serve: clamping --threads {} to {cap} \
-                     ({workers} workers on {available} cores)",
-                    options.threads_per_job
-                );
-                cap
-            } else {
-                options.threads_per_job
-            }
-        } else {
-            options.threads_per_job
-        };
         // Open the durability layer (store + journal) and replay whatever
         // the previous incarnation left behind before accepting traffic.
         let (durable, recovery) = match &options.data_dir {
@@ -444,8 +413,6 @@ impl Server {
             warm_jobs: AtomicU64::new(0),
             warm_placements: AtomicU64::new(0),
             warm_tasks_replayed: AtomicU64::new(0),
-            workers,
-            threads_per_job,
             name_keys: std::sync::Mutex::new(std::collections::HashMap::new()),
             started: Instant::now(),
             metrics: Metrics::new(),
@@ -980,26 +947,9 @@ fn parse_submission(body: &[u8]) -> Result<Submission, String> {
     }
 }
 
-/// The config as hashed into a submission's identity: the full document
-/// minus `parallelism`. Thread counts never change a job's result (the
-/// synthesizer's parallel reductions are deterministic by candidate order),
-/// so a result computed at any thread count must answer submissions at
-/// every other — and the server overrides the field with its own resource
-/// policy anyway.
-fn config_identity_json(config: &SynthesisConfig) -> Json {
-    let mut json = config.to_json();
-    if let Json::Object(pairs) = &mut json {
-        pairs.retain(|(key, _)| key != "parallelism");
-    }
-    json
-}
-
 /// The content key of a `(problem, config)` pair — the cache identity.
 fn submission_key(problem: &ScheduleProblem, config: &SynthesisConfig) -> (u64, String) {
-    let pair = Json::object([
-        ("problem", problem.to_json()),
-        ("config", config_identity_json(config)),
-    ]);
+    let pair = Json::object([("problem", problem.to_json()), ("config", config.to_json())]);
     let key = biochip_json::canonical_hash(&pair);
     (key, format!("{key:016x}"))
 }
@@ -1039,7 +989,7 @@ struct ResolvedJob {
 fn resolve_key(submission: Submission, state: &ServerState) -> Result<ResolvedJob, String> {
     Ok(match submission {
         Submission::Named { canonical, config } => {
-            let config_key = biochip_json::canonical_hash(&config_identity_json(&config));
+            let config_key = biochip_json::canonical_hash(&config.to_json());
             let memo_key = format!("{canonical}:{config_key:016x}");
             {
                 let memo = state.lock_name_keys();
@@ -1857,21 +1807,6 @@ fn run_job(state: &ServerState, worker: usize, job: QueuedJob) {
         return;
     }
 
-    // Intra-job parallelism is the server's resource policy, not the
-    // client's: override whatever the submission carried. In the adaptive
-    // mode a cold job borrows every idle pool shard (itself plus each
-    // worker not currently running a job), so a lone job on an idle server
-    // uses the whole machine while a saturated pool degrades gracefully to
-    // one core per job. Results are identical either way.
-    let threads = if state.threads_per_job == 0 {
-        let running = state.jobs.counts().running.max(1);
-        1 + state.workers.saturating_sub(running)
-    } else {
-        state.threads_per_job
-    };
-    let mut config = config;
-    config.parallelism = biochip_synth::arch::Parallelism::with_threads(threads.max(1));
-
     let flow = SynthesisFlow::new(config);
     // The staged run probes the per-stage caches (schedule by schedule
     // key, architecture by route key) and falls back to a warm-started or
@@ -1980,8 +1915,6 @@ mod tests {
             warm_jobs: AtomicU64::new(0),
             warm_placements: AtomicU64::new(0),
             warm_tasks_replayed: AtomicU64::new(0),
-            workers: 1,
-            threads_per_job: 1,
             name_keys: std::sync::Mutex::new(std::collections::HashMap::new()),
             started: Instant::now(),
             metrics: Metrics::new(),

@@ -255,6 +255,43 @@ fn equivalent_submissions_share_one_cache_entry() {
 }
 
 #[test]
+fn legacy_parallelism_configs_hit_the_cache() {
+    let (addr, handle, join) = start_server(1);
+
+    let config = biochip_json::Serialize::to_json(&biochip_synth::SynthesisConfig::default());
+    let mut legacy = config.clone();
+    if let biochip_json::Json::Object(pairs) = &mut legacy {
+        pairs.push((
+            "parallelism".to_owned(),
+            biochip_json::Json::object([("threads", biochip_json::Json::Number(8.0))]),
+        ));
+    }
+    let submission = |config: &biochip_json::Json| {
+        format!(r#"{{"assay": "RA30", "config": {}}}"#, config.to_compact())
+    };
+
+    let first = client::submit(addr, &submission(&config)).unwrap();
+    let first = wait_done(addr, &first);
+
+    // A client still sending the retired per-job `parallelism` field asks
+    // for the same chip: the field is ignored, so the cache answers it.
+    let second = client::submit(addr, &submission(&legacy)).unwrap();
+    assert_eq!(
+        second.get("cached").unwrap(),
+        &biochip_json::Json::Bool(true),
+        "{}",
+        second.to_compact()
+    );
+    assert_eq!(
+        result_body(addr, client::job_id(&first).unwrap()),
+        result_body(addr, client::job_id(&second).unwrap())
+    );
+
+    handle.stop();
+    join.join().unwrap();
+}
+
+#[test]
 fn config_edits_reuse_cached_stages_and_warm_start() {
     let (addr, handle, join) = start_server(1);
 

@@ -8,9 +8,7 @@ use std::time::{Duration, Instant};
 
 use biochip_telemetry as telemetry;
 
-use biochip_arch::{
-    ArchError, Architecture, ArchitectureSynthesizer, Parallelism, SynthesisOptions, WarmStart,
-};
+use biochip_arch::{ArchError, Architecture, ArchitectureSynthesizer, SynthesisOptions, WarmStart};
 use biochip_assay::{Seconds, SequencingGraph};
 use biochip_layout::{generate_layout, LayoutOptions, PhysicalDesign};
 use biochip_schedule::{
@@ -40,11 +38,9 @@ pub enum SchedulerChoice {
 
 /// Configuration of the end-to-end flow.
 ///
-/// `Deserialize` is hand-written (not derived) so that documents from
-/// before intra-job parallelism existed — which lack the `parallelism`
-/// field — still load: those jobs were sequential, which is exactly the
-/// default the field falls back to.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Unknown keys are ignored on load, so documents written while the
+/// retired per-job `parallelism` field existed still load unchanged.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SynthesisConfig {
     /// Number of mixers on the chip.
     pub mixers: usize,
@@ -69,11 +65,6 @@ pub struct SynthesisConfig {
     pub synthesis: SynthesisOptions,
     /// Physical-design options.
     pub layout: LayoutOptions,
-    /// Intra-job parallelism. Never changes the synthesized result — only
-    /// how many cores a cold run uses — and is therefore excluded from the
-    /// job service's content keys (a result computed at any thread count
-    /// answers submissions at every other).
-    pub parallelism: Parallelism,
 }
 
 impl Default for SynthesisConfig {
@@ -90,31 +81,7 @@ impl Default for SynthesisConfig {
             ilp_threshold: 8,
             synthesis: SynthesisOptions::default(),
             layout: LayoutOptions::default(),
-            parallelism: Parallelism::default(),
         }
-    }
-}
-
-impl serde::Deserialize for SynthesisConfig {
-    fn from_json(value: &serde::Json) -> Result<Self, serde::JsonError> {
-        Ok(SynthesisConfig {
-            mixers: value.field("mixers")?,
-            detectors: value.field("detectors")?,
-            heaters: value.field("heaters")?,
-            transport_time: value.field("transport_time")?,
-            alpha: value.field("alpha")?,
-            beta: value.field("beta")?,
-            scheduler: value.field("scheduler")?,
-            ilp_time_limit: value.field("ilp_time_limit")?,
-            ilp_threshold: value.field("ilp_threshold")?,
-            synthesis: value.field("synthesis")?,
-            layout: value.field("layout")?,
-            // Absent in pre-parallelism documents: those ran sequentially.
-            parallelism: match value.get("parallelism") {
-                Some(raw) => serde::Deserialize::from_json(raw)?,
-                None => Parallelism::default(),
-            },
-        })
     }
 }
 
@@ -151,13 +118,6 @@ impl SynthesisConfig {
     #[must_use]
     pub fn with_transport_time(mut self, seconds: Seconds) -> Self {
         self.transport_time = seconds;
-        self
-    }
-
-    /// Sets the intra-job parallelism policy (`threads`; 0 = all cores).
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
         self
     }
 }
@@ -601,7 +561,6 @@ impl SynthesisFlow {
                 // The "place" and "route" spans are recorded inside the
                 // synthesizer, once per grid attempt.
                 let mut synthesizer = ArchitectureSynthesizer::new(self.config.synthesis.clone())
-                    .with_parallelism(self.config.parallelism)
                     .with_oracle_scope(reuse.keys.placement.clone());
                 if let Some(oracles) = store.oracle_cache() {
                     synthesizer = synthesizer.with_oracle_cache(oracles);
@@ -768,33 +727,50 @@ mod tests {
     }
 
     #[test]
-    fn pre_parallelism_config_documents_still_deserialize() {
-        // A config serialized before the `parallelism` / `starts` fields
-        // existed must load with the sequential, single-start behaviour it
-        // was written under.
-        let mut json = serde::Serialize::to_json(&SynthesisConfig::default());
-        if let biochip_json::Json::Object(pairs) = &mut json {
-            pairs.retain(|(key, _)| key != "parallelism");
-            for (key, value) in pairs.iter_mut() {
-                if key != "synthesis" {
-                    continue;
-                }
-                if let biochip_json::Json::Object(synthesis) = value {
-                    for (skey, svalue) in synthesis.iter_mut() {
-                        if skey != "placement" {
-                            continue;
-                        }
-                        if let biochip_json::Json::Object(placement) = svalue {
-                            placement.retain(|(pkey, _)| pkey != "starts");
-                        }
-                    }
-                }
-            }
-        }
-        let back: SynthesisConfig = serde::Deserialize::from_json(&json).unwrap();
+    fn legacy_parallelism_and_starts_fields_load_or_fail_clearly() {
+        // Documents written while per-job `parallelism` and multi-start
+        // placement existed: `parallelism` and `starts: 1` are ignored, any
+        // other start count is refused by name.
+        use biochip_json::Json;
+        let with_legacy_fields = |starts: f64| {
+            let mut json = serde::Serialize::to_json(&SynthesisConfig::default());
+            let Json::Object(config) = &mut json else {
+                unreachable!("a config serializes as an object")
+            };
+            config.push((
+                "parallelism".to_owned(),
+                Json::object([("threads", Json::Number(8.0))]),
+            ));
+            let Some((_, Json::Object(synthesis))) =
+                config.iter_mut().find(|(key, _)| key == "synthesis")
+            else {
+                unreachable!("a config carries its synthesis options")
+            };
+            let Some((_, Json::Object(placement))) =
+                synthesis.iter_mut().find(|(key, _)| key == "placement")
+            else {
+                unreachable!("synthesis options carry placement options")
+            };
+            placement.push(("starts".to_owned(), Json::Number(starts)));
+            json
+        };
+
+        let plain = serde::Serialize::to_json(&SynthesisConfig::default());
+        let back: SynthesisConfig = serde::Deserialize::from_json(&plain).unwrap();
         assert_eq!(back, SynthesisConfig::default());
-        assert_eq!(back.parallelism, Parallelism::sequential());
-        assert_eq!(back.synthesis.placement.starts, 1);
+
+        let back: SynthesisConfig =
+            serde::Deserialize::from_json(&with_legacy_fields(1.0)).unwrap();
+        assert_eq!(back, SynthesisConfig::default());
+
+        let err = <SynthesisConfig as serde::Deserialize>::from_json(&with_legacy_fields(4.0))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("field `synthesis`: field `placement`: field `starts`"),
+            "{err}"
+        );
+        assert!(err.contains("got 4"), "{err}");
     }
 
     #[test]

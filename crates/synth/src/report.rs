@@ -121,9 +121,9 @@ impl SynthesisReport {
 
     /// A copy with the wall-clock timing fields zeroed — everything left is
     /// a pure function of the input problem, so two runs of the same job
-    /// (at any thread count) must produce **byte-identical** JSON for it.
-    /// The parallel-determinism tests and the `bench pipeline` output keys
-    /// compare this, never the raw report.
+    /// must produce **byte-identical** JSON for it. The determinism tests
+    /// and the `bench pipeline` output keys compare this, never the raw
+    /// report.
     #[must_use]
     pub fn without_timings(&self) -> SynthesisReport {
         SynthesisReport {

@@ -62,9 +62,9 @@ fn json_without<T: Serialize>(value: &T, drop: &[&str]) -> biochip_json::Json {
 impl StageKeys {
     /// Derives the stage-key chain for one `(config, problem)` pair.
     ///
-    /// Each stage folds exactly the configuration its stage consumes:
-    /// intra-job `parallelism` and the placement `warm_start` switch are
-    /// excluded everywhere (neither changes the synthesized result), and a
+    /// Each stage folds exactly the configuration its stage consumes: the
+    /// placement `warm_start` switch is excluded everywhere (it never
+    /// changes the synthesized result), and a
     /// config edit invalidates precisely the keys at and below the first
     /// stage whose slice it touches.
     #[must_use]
@@ -305,10 +305,9 @@ impl StageStore for MemoryStageStore {
 /// triple, as hex.
 ///
 /// This is the byte-identity the warm-start differential suite and the
-/// `bench pipeline` / `bench editloop` CI gates compare: it is a pure
-/// function of the input problem and config — independent of thread count
-/// *and* of whether stages were served cold, from a stage cache, or by
-/// warm-start replay.
+/// `bench editloop` CI gate compare: it is a pure function of the input
+/// problem and config — independent of whether stages were served cold,
+/// from a stage cache, or by warm-start replay.
 #[must_use]
 pub fn output_key(outcome: &SynthesisOutcome) -> String {
     let fingerprint = biochip_json::Json::object([
@@ -356,9 +355,8 @@ mod tests {
         let keys = StageKeys::derive(&layout_edit, &problem());
         assert_eq!(keys.route, base.route);
         assert_ne!(keys.full, base.full);
-        // Parallelism and warm_start never perturb any stage key.
+        // warm_start never perturbs any stage key.
         let mut incidental = config.clone();
-        incidental.parallelism = biochip_arch::Parallelism::with_threads(7);
         incidental.synthesis.placement.warm_start = false;
         assert_eq!(StageKeys::derive(&incidental, &problem()), base);
     }

@@ -246,14 +246,8 @@ impl JobStore {
     /// Total jobs accepted over the server's lifetime (not reduced by
     /// record aging).
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub fn accepted(&self) -> usize {
         self.accepted.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Whether no job was accepted yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -280,11 +274,11 @@ mod tests {
     #[test]
     fn store_tracks_states() {
         let store = JobStore::default();
-        assert!(store.is_empty());
+        assert_eq!(store.accepted(), 0);
         store.insert(record(1, JobState::Queued));
         store.insert(record(2, JobState::Done));
         store.insert(record(3, JobState::Done));
-        assert_eq!(store.len(), 3);
+        assert_eq!(store.accepted(), 3);
         assert_eq!(store.count(JobState::Done), 2);
         assert_eq!(store.count(JobState::Failed), 0);
         store.with(1, |j| j.state = JobState::Failed).unwrap();
@@ -311,7 +305,7 @@ mod tests {
             .is_some());
         assert_eq!(store.counts().running, 1);
         // Lifetime total is not reduced by aging.
-        assert_eq!(store.len(), JobStore::RETAINED_JOBS + 2);
+        assert_eq!(store.accepted(), JobStore::RETAINED_JOBS + 2);
     }
 
     #[test]

@@ -182,9 +182,9 @@ const ENDPOINTS: &[&str] = &[
 
 /// The latency instruments behind `GET /metrics` and the `latency` block
 /// of `GET /stats`. Counter-style subsystem stats (cache, pool, job
-/// states) are *not* mirrored here — `metrics_text` renders them straight
-/// from their owning structs at scrape time, so there is exactly one
-/// source of truth per number.
+/// states) are *not* mirrored here: each is declared once as a
+/// [`STAT_FAMILIES`] row, which `GET /metrics` renders from the same
+/// [`ServeStats`] snapshot that `GET /stats` serializes.
 struct Metrics {
     registry: telemetry::Registry,
     /// Submission-to-terminal latency of jobs that ran a synthesis.
@@ -1353,351 +1353,226 @@ fn latency_json(metrics: &Metrics) -> Json {
     ])
 }
 
+/// One `GET /metrics` family rendered from the `GET /stats` document.
+struct StatFamily {
+    name: &'static str,
+    kind: &'static str,
+    help: &'static str,
+    /// Label key of the family's series; `""` for one unlabelled series.
+    label: &'static str,
+    /// `(label value, dotted path of the leaf in the /stats document)` per
+    /// series. Booleans render as 0/1; an array leaf renders one series per
+    /// element, labelled with its index.
+    series: &'static [(&'static str, &'static str)],
+}
+
+/// Every `/stats` counter, declared once: `GET /stats` serializes the
+/// [`ServeStats`] snapshot and `GET /metrics` renders these rows from the
+/// same snapshot, so the two endpoints cannot drift apart.
+#[rustfmt::skip]
+const STAT_FAMILIES: &[StatFamily] = &[
+    StatFamily { name: "biochip_uptime_seconds", kind: "gauge",
+        help: "Seconds since the server started",
+        label: "", series: &[("", "uptime_seconds")] },
+    StatFamily { name: "biochip_cache_hits_total", kind: "counter",
+        help: "Result-cache lookups that found a live entry",
+        label: "", series: &[("", "cache.hits")] },
+    StatFamily { name: "biochip_cache_misses_total", kind: "counter",
+        help: "Result-cache lookups that missed and went on to synthesize",
+        label: "", series: &[("", "cache.misses")] },
+    StatFamily { name: "biochip_cache_evictions_total", kind: "counter",
+        help: "Result-cache entries displaced by the LRU policy",
+        label: "", series: &[("", "cache.evictions")] },
+    StatFamily { name: "biochip_cache_entries", kind: "gauge",
+        help: "Result-cache entries currently held",
+        label: "", series: &[("", "cache.entries")] },
+    StatFamily { name: "biochip_cache_capacity", kind: "gauge",
+        help: "Result-cache capacity in entries",
+        label: "", series: &[("", "cache.capacity")] },
+    StatFamily { name: "biochip_stage_cache_hits_total", kind: "counter",
+        help: "Stage-artifact cache lookups that found a live entry, by pipeline stage",
+        label: "stage", series: &[("schedule", "stage_cache.schedule.hits"),
+                                  ("architecture", "stage_cache.architecture.hits")] },
+    StatFamily { name: "biochip_stage_cache_misses_total", kind: "counter",
+        help: "Stage-artifact cache lookups that missed, by pipeline stage",
+        label: "stage", series: &[("schedule", "stage_cache.schedule.misses"),
+                                  ("architecture", "stage_cache.architecture.misses")] },
+    StatFamily { name: "biochip_stage_cache_entries", kind: "gauge",
+        help: "Stage-artifact cache entries currently held, by pipeline stage",
+        label: "stage", series: &[("schedule", "stage_cache.schedule.entries"),
+                                  ("architecture", "stage_cache.architecture.entries")] },
+    StatFamily { name: "biochip_stage_cache_capacity", kind: "gauge",
+        help: "Stage-artifact cache capacity in entries, by pipeline stage",
+        label: "stage", series: &[("schedule", "stage_cache.schedule.capacity"),
+                                  ("architecture", "stage_cache.architecture.capacity")] },
+    StatFamily { name: "biochip_stage_cache_evictions_total", kind: "counter",
+        help: "Stage-artifact cache entries displaced by the LRU policy, by pipeline stage",
+        label: "stage", series: &[("schedule", "stage_cache.schedule.evictions"),
+                                  ("architecture", "stage_cache.architecture.evictions")] },
+    StatFamily { name: "biochip_warm_hints_total", kind: "counter",
+        help: "Warm-start handoff lookups by result",
+        label: "result", series: &[("hit", "stage_cache.warm.hits"),
+                                   ("miss", "stage_cache.warm.misses")] },
+    StatFamily { name: "biochip_warm_entries", kind: "gauge",
+        help: "Warm-start handoffs currently held (the latest one per assay)",
+        label: "", series: &[("", "stage_cache.warm.entries")] },
+    StatFamily { name: "biochip_oracle_builds_total", kind: "counter",
+        help: "Routing oracles built from scratch (shared-cache misses)",
+        label: "", series: &[("", "stage_cache.oracle.builds")] },
+    StatFamily { name: "biochip_oracle_hits_total", kind: "counter",
+        help: "Routing-oracle lookups served by an already-built oracle",
+        label: "", series: &[("", "stage_cache.oracle.hits")] },
+    StatFamily { name: "biochip_oracle_entries", kind: "gauge",
+        help: "Routing oracles currently held by the shared cache",
+        label: "", series: &[("", "stage_cache.oracle.entries")] },
+    StatFamily { name: "biochip_warm_jobs_total", kind: "counter",
+        help: "Jobs whose architecture stage was warm-started from a prior run",
+        label: "", series: &[("", "jobs_warm_started")] },
+    StatFamily { name: "biochip_warm_tasks_replayed_total", kind: "counter",
+        help: "Transports committed by warm replay instead of search",
+        label: "", series: &[("", "warm_tasks_replayed")] },
+    StatFamily { name: "biochip_warm_placements_reused_total", kind: "counter",
+        help: "Warm-started jobs that adopted the prior placement",
+        label: "", series: &[("", "warm_placements_reused")] },
+    StatFamily { name: "biochip_jobs_accepted_total", kind: "counter",
+        help: "Jobs accepted over the server's lifetime (cache hits included)",
+        label: "", series: &[("", "jobs_accepted")] },
+    StatFamily { name: "biochip_jobs_cached_total", kind: "counter",
+        help: "Jobs answered from the result cache",
+        label: "", series: &[("", "jobs_cached")] },
+    StatFamily { name: "biochip_jobs", kind: "gauge",
+        help: "Retained jobs by lifecycle state",
+        label: "state", series: &[("queued", "jobs_queued"), ("running", "jobs_running"),
+                                  ("done", "jobs_done"), ("failed", "jobs_failed"),
+                                  ("cancelled", "jobs_cancelled")] },
+    StatFamily { name: "biochip_pool_workers", kind: "gauge",
+        help: "Worker threads in the synthesis pool",
+        label: "", series: &[("", "pool.workers")] },
+    StatFamily { name: "biochip_pool_queue_depth", kind: "gauge",
+        help: "Jobs sitting in the pool's shard queues",
+        label: "", series: &[("", "pool.queued")] },
+    StatFamily { name: "biochip_pool_jobs_submitted_total", kind: "counter",
+        help: "Jobs handed to the pool",
+        label: "", series: &[("", "pool.submitted")] },
+    StatFamily { name: "biochip_pool_jobs_completed_total", kind: "counter",
+        help: "Pool jobs whose handler returned normally",
+        label: "", series: &[("", "pool.completed")] },
+    StatFamily { name: "biochip_pool_jobs_panicked_total", kind: "counter",
+        help: "Pool jobs whose handler panicked (contained)",
+        label: "", series: &[("", "pool.panicked")] },
+    StatFamily { name: "biochip_pool_busy_seconds_total", kind: "counter",
+        help: "Wall seconds each worker has spent inside job handlers",
+        label: "worker", series: &[("", "pool.busy_seconds")] },
+    StatFamily { name: "biochip_store_hits_total", kind: "counter",
+        help: "Disk-store lookups that found a valid entry",
+        label: "", series: &[("", "store.hits")] },
+    StatFamily { name: "biochip_store_misses_total", kind: "counter",
+        help: "Disk-store lookups that found nothing",
+        label: "", series: &[("", "store.misses")] },
+    StatFamily { name: "biochip_store_corrupt_total", kind: "counter",
+        help: "Disk-store entries quarantined as unreadable or corrupt",
+        label: "", series: &[("", "store.corrupt")] },
+    StatFamily { name: "biochip_store_evictions_total", kind: "counter",
+        help: "Disk-store entries evicted by the size-capped LRU policy",
+        label: "", series: &[("", "store.evictions")] },
+    StatFamily { name: "biochip_store_write_errors_total", kind: "counter",
+        help: "Disk-store writes that failed (the store degrades to memory-only)",
+        label: "", series: &[("", "store.write_errors")] },
+    StatFamily { name: "biochip_store_entries", kind: "gauge",
+        help: "Disk-store entries currently held",
+        label: "", series: &[("", "store.entries")] },
+    StatFamily { name: "biochip_store_bytes", kind: "gauge",
+        help: "Bytes the disk store currently holds",
+        label: "", series: &[("", "store.bytes")] },
+    StatFamily { name: "biochip_store_capacity_bytes", kind: "gauge",
+        help: "Byte budget of the disk store's LRU",
+        label: "", series: &[("", "store.capacity_bytes")] },
+    StatFamily { name: "biochip_store_enabled", kind: "gauge",
+        help: "1 when a disk store is attached (serve --data-dir), 0 otherwise",
+        label: "", series: &[("", "store.enabled")] },
+    // `available` is false for the disabled placeholder, so this reads
+    // "enabled and available".
+    StatFamily { name: "biochip_store_available", kind: "gauge",
+        help: "1 when the disk store accepts reads and writes, 0 when degraded or disabled",
+        label: "", series: &[("", "store.available")] },
+    StatFamily { name: "biochip_journal_enabled", kind: "gauge",
+        help: "1 when a job journal is attached (serve --data-dir), 0 otherwise",
+        label: "", series: &[("", "journal.enabled")] },
+    StatFamily { name: "biochip_journal_available", kind: "gauge",
+        help: "1 while job-journal appends reach disk, 0 when failed or disabled",
+        label: "", series: &[("", "journal.available")] },
+    StatFamily { name: "biochip_journal_appends_total", kind: "counter",
+        help: "Job-journal records appended since startup",
+        label: "", series: &[("", "journal.appends")] },
+    StatFamily { name: "biochip_journal_append_errors_total", kind: "counter",
+        help: "Job-journal appends that failed (journaling stops until restart)",
+        label: "", series: &[("", "journal.append_errors")] },
+    StatFamily { name: "biochip_journal_replayed_total", kind: "counter",
+        help: "Journal records replayed at the last startup",
+        label: "", series: &[("", "journal.replayed")] },
+    StatFamily { name: "biochip_journal_corrupt_lines_total", kind: "counter",
+        help: "Unparseable journal lines skipped during the last startup's replay",
+        label: "", series: &[("", "journal.corrupt_lines")] },
+    StatFamily { name: "biochip_jobs_recovered_total", kind: "counter",
+        help: "Jobs resolved from the journal at startup, by outcome",
+        label: "outcome", series: &[("recovered", "journal.recovered"),
+                                    ("requeued", "journal.requeued"),
+                                    ("lost", "journal.lost")] },
+    StatFamily { name: "biochip_admission_rejected_total", kind: "counter",
+        help: "Submissions rejected by admission control, by reason",
+        label: "reason", series: &[("queue_full", "admission.rejected_queue_full"),
+                                   ("client_quota", "admission.rejected_client_quota"),
+                                   ("draining", "admission.rejected_draining")] },
+    StatFamily { name: "biochip_admission_limit", kind: "gauge",
+        help: "Configured admission-control bounds, by limit",
+        label: "limit", series: &[("max_queue_depth", "admission.max_queue_depth"),
+                                  ("max_inflight_per_client", "admission.max_inflight_per_client")] },
+    StatFamily { name: "biochip_draining", kind: "gauge",
+        help: "1 while the server drains in-flight jobs before shutdown",
+        label: "", series: &[("", "draining")] },
+];
+
 /// The `GET /metrics` body: every registry series (request/job latency)
-/// plus the cache, pool and job-state counters rendered straight from
-/// their owning structs, in the Prometheus text exposition format.
+/// plus one family per [`STAT_FAMILIES`] row, read off a single [`stats`]
+/// snapshot, in the Prometheus text exposition format.
 fn metrics_text(shared: &Shared) -> String {
-    fn number(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            "NaN".to_owned()
+    let stats = stats(shared).to_json();
+    let mut out = shared.state.metrics.registry.prometheus_text();
+    for family in STAT_FAMILIES {
+        let mut writer =
+            telemetry::FamilyWriter::new(&mut out, family.name, family.kind, family.help);
+        for &(label, path) in family.series {
+            match stat_leaf(&stats, path) {
+                Some(Json::Array(items)) => {
+                    for (index, item) in items.iter().enumerate() {
+                        let index = index.to_string();
+                        writer.sample("", &[(family.label, &index)], stat_value(item));
+                    }
+                }
+                Some(leaf) => {
+                    let pair = [(family.label, label)];
+                    let labels: &[(&str, &str)] = if family.label.is_empty() { &[] } else { &pair };
+                    writer.sample("", labels, stat_value(leaf));
+                }
+                None => {}
+            }
         }
     }
-    fn push_metric(out: &mut String, name: &str, kind: &str, help: &str, series: &[(String, f64)]) {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-        for (labels, value) in series {
-            out.push_str(&format!("{name}{labels} {}\n", number(*value)));
-        }
-    }
-    let state = &shared.state;
-    let mut out = state.metrics.registry.prometheus_text();
-    let cache = state.cache.stats();
-    let pool = shared.pool.stats();
-    let counts = state.jobs.counts();
-    let plain = String::new;
-    push_metric(
-        &mut out,
-        "biochip_uptime_seconds",
-        "gauge",
-        "Seconds since the server started",
-        &[(plain(), state.started.elapsed().as_secs_f64())],
-    );
-    push_metric(
-        &mut out,
-        "biochip_cache_hits_total",
-        "counter",
-        "Result-cache lookups that found a live entry",
-        &[(plain(), cache.hits as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_cache_misses_total",
-        "counter",
-        "Result-cache lookups that missed and went on to synthesize",
-        &[(plain(), cache.misses as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_cache_evictions_total",
-        "counter",
-        "Result-cache entries displaced by the LRU policy",
-        &[(plain(), cache.evictions as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_cache_entries",
-        "gauge",
-        "Result-cache entries currently held",
-        &[(plain(), cache.entries as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_cache_capacity",
-        "gauge",
-        "Result-cache capacity in entries",
-        &[(plain(), cache.capacity as f64)],
-    );
-    let stages = state.stages.stats();
-    let per_stage = |f: fn(&CacheStats) -> usize| {
-        vec![
-            (
-                "{stage=\"schedule\"}".to_owned(),
-                f(&stages.schedule) as f64,
-            ),
-            (
-                "{stage=\"architecture\"}".to_owned(),
-                f(&stages.architecture) as f64,
-            ),
-        ]
-    };
-    push_metric(
-        &mut out,
-        "biochip_stage_cache_hits_total",
-        "counter",
-        "Stage-artifact cache lookups that found a live entry, by pipeline stage",
-        &per_stage(|s| s.hits),
-    );
-    push_metric(
-        &mut out,
-        "biochip_stage_cache_misses_total",
-        "counter",
-        "Stage-artifact cache lookups that missed, by pipeline stage",
-        &per_stage(|s| s.misses),
-    );
-    push_metric(
-        &mut out,
-        "biochip_stage_cache_entries",
-        "gauge",
-        "Stage-artifact cache entries currently held, by pipeline stage",
-        &per_stage(|s| s.entries),
-    );
-    push_metric(
-        &mut out,
-        "biochip_warm_hints_total",
-        "counter",
-        "Warm-start handoff lookups by result",
-        &[
-            ("{result=\"hit\"}".to_owned(), stages.warm.hits as f64),
-            ("{result=\"miss\"}".to_owned(), stages.warm.misses as f64),
-        ],
-    );
-    push_metric(
-        &mut out,
-        "biochip_oracle_builds_total",
-        "counter",
-        "Routing oracles built from scratch (shared-cache misses)",
-        &[(plain(), stages.oracle.builds as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_oracle_hits_total",
-        "counter",
-        "Routing-oracle lookups served by an already-built oracle",
-        &[(plain(), stages.oracle.hits as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_oracle_entries",
-        "gauge",
-        "Routing oracles currently held by the shared cache",
-        &[(plain(), stages.oracle.entries as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_warm_jobs_total",
-        "counter",
-        "Jobs whose architecture stage was warm-started from a prior run",
-        &[(plain(), state.warm_jobs.load(Ordering::Relaxed) as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_warm_tasks_replayed_total",
-        "counter",
-        "Transports committed by warm replay instead of search",
-        &[(
-            plain(),
-            state.warm_tasks_replayed.load(Ordering::Relaxed) as f64,
-        )],
-    );
-    push_metric(
-        &mut out,
-        "biochip_warm_placements_reused_total",
-        "counter",
-        "Warm-started jobs that adopted the prior placement",
-        &[(
-            plain(),
-            state.warm_placements.load(Ordering::Relaxed) as f64,
-        )],
-    );
-    push_metric(
-        &mut out,
-        "biochip_jobs_accepted_total",
-        "counter",
-        "Jobs accepted over the server's lifetime (cache hits included)",
-        &[(plain(), state.jobs.len() as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_jobs",
-        "gauge",
-        "Retained jobs by lifecycle state",
-        &[
-            ("{state=\"queued\"}".to_owned(), counts.queued as f64),
-            ("{state=\"running\"}".to_owned(), counts.running as f64),
-            ("{state=\"done\"}".to_owned(), counts.done as f64),
-            ("{state=\"failed\"}".to_owned(), counts.failed as f64),
-            ("{state=\"cancelled\"}".to_owned(), counts.cancelled as f64),
-        ],
-    );
-    push_metric(
-        &mut out,
-        "biochip_pool_workers",
-        "gauge",
-        "Worker threads in the synthesis pool",
-        &[(plain(), pool.workers as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_pool_queue_depth",
-        "gauge",
-        "Jobs sitting in the pool's shard queues",
-        &[(plain(), pool.queued as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_pool_jobs_completed_total",
-        "counter",
-        "Pool jobs whose handler returned normally",
-        &[(plain(), pool.completed as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_pool_jobs_panicked_total",
-        "counter",
-        "Pool jobs whose handler panicked (contained)",
-        &[(plain(), pool.panicked as f64)],
-    );
-    let busy: Vec<(String, f64)> = pool
-        .busy_seconds
-        .iter()
-        .enumerate()
-        .map(|(worker, seconds)| (format!("{{worker=\"{worker}\"}}"), *seconds))
-        .collect();
-    push_metric(
-        &mut out,
-        "biochip_pool_busy_seconds_total",
-        "counter",
-        "Wall seconds each worker has spent inside job handlers",
-        &busy,
-    );
-    let store = state.durable.store_stats();
-    push_metric(
-        &mut out,
-        "biochip_store_hits_total",
-        "counter",
-        "Disk-store lookups that found a valid entry",
-        &[(plain(), store.hits as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_store_misses_total",
-        "counter",
-        "Disk-store lookups that found nothing",
-        &[(plain(), store.misses as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_store_corrupt_total",
-        "counter",
-        "Disk-store entries quarantined as unreadable or corrupt",
-        &[(plain(), store.corrupt as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_store_evictions_total",
-        "counter",
-        "Disk-store entries evicted by the size-capped LRU policy",
-        &[(plain(), store.evictions as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_store_write_errors_total",
-        "counter",
-        "Disk-store writes that failed (the store degrades to memory-only)",
-        &[(plain(), store.write_errors as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_store_entries",
-        "gauge",
-        "Disk-store entries currently held",
-        &[(plain(), store.entries as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_store_bytes",
-        "gauge",
-        "Bytes the disk store currently holds",
-        &[(plain(), store.bytes as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_store_available",
-        "gauge",
-        "1 when the disk store accepts reads and writes, 0 when degraded or disabled",
-        &[(
-            plain(),
-            f64::from(u8::from(store.enabled && store.available)),
-        )],
-    );
-    let journal = state.durable.journal_stats();
-    push_metric(
-        &mut out,
-        "biochip_journal_appends_total",
-        "counter",
-        "Job-journal records appended since startup",
-        &[(plain(), journal.appends as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_journal_append_errors_total",
-        "counter",
-        "Job-journal appends that failed (journaling stops until restart)",
-        &[(plain(), journal.append_errors as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_journal_replayed_total",
-        "counter",
-        "Journal records replayed at the last startup",
-        &[(plain(), journal.replayed as f64)],
-    );
-    push_metric(
-        &mut out,
-        "biochip_jobs_recovered_total",
-        "counter",
-        "Jobs resolved from the journal at startup, by outcome",
-        &[
-            (
-                "{outcome=\"recovered\"}".to_owned(),
-                journal.recovered as f64,
-            ),
-            ("{outcome=\"requeued\"}".to_owned(), journal.requeued as f64),
-            ("{outcome=\"lost\"}".to_owned(), journal.lost as f64),
-        ],
-    );
-    push_metric(
-        &mut out,
-        "biochip_admission_rejected_total",
-        "counter",
-        "Submissions rejected by admission control, by reason",
-        &[
-            (
-                "{reason=\"queue_full\"}".to_owned(),
-                state.rejected_queue_full.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "{reason=\"client_quota\"}".to_owned(),
-                state.rejected_client_quota.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "{reason=\"draining\"}".to_owned(),
-                state.rejected_draining.load(Ordering::Relaxed) as f64,
-            ),
-        ],
-    );
-    push_metric(
-        &mut out,
-        "biochip_draining",
-        "gauge",
-        "1 while the server drains in-flight jobs before shutdown",
-        &[(
-            plain(),
-            f64::from(u8::from(state.draining.load(Ordering::SeqCst))),
-        )],
-    );
     out
+}
+
+/// The leaf of `stats` at a dotted `path` such as `cache.hits`.
+fn stat_leaf<'j>(stats: &'j Json, path: &str) -> Option<&'j Json> {
+    path.split('.').try_fold(stats, |node, key| node.get(key))
+}
+
+/// A numeric leaf's value; booleans count as 0/1.
+fn stat_value(leaf: &Json) -> f64 {
+    match leaf {
+        Json::Number(n) => *n,
+        Json::Bool(b) => f64::from(u8::from(*b)),
+        _ => f64::NAN,
+    }
 }
 
 fn stats(shared: &Shared) -> ServeStats {
@@ -1705,7 +1580,7 @@ fn stats(shared: &Shared) -> ServeStats {
     let counts = state.jobs.counts();
     ServeStats {
         uptime_seconds: state.started.elapsed().as_secs_f64(),
-        jobs_accepted: state.jobs.len(),
+        jobs_accepted: state.jobs.accepted(),
         jobs_queued: counts.queued,
         jobs_running: counts.running,
         jobs_done: counts.done,
@@ -1979,6 +1854,83 @@ mod tests {
             second.problem.is_none(),
             "memo fast path must hit despite the earlier poison"
         );
+    }
+
+    /// Every numeric or boolean leaf path of `doc`, depth first; an array
+    /// (`pool.busy_seconds`) counts as one leaf.
+    fn leaf_paths(doc: &Json, prefix: &str, out: &mut Vec<String>) {
+        match doc {
+            Json::Object(pairs) => {
+                for (key, value) in pairs {
+                    let path = if prefix.is_empty() {
+                        key.clone()
+                    } else {
+                        format!("{prefix}.{key}")
+                    };
+                    leaf_paths(value, &path, out);
+                }
+            }
+            Json::Number(_) | Json::Bool(_) | Json::Array(_) => out.push(prefix.to_owned()),
+            Json::Null | Json::String(_) => {}
+        }
+    }
+
+    #[test]
+    fn every_stats_leaf_has_a_metrics_series() {
+        let server = Server::bind(&ServeOptions {
+            addr: "127.0.0.1:0".to_owned(),
+            workers: 1,
+            ..ServeOptions::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = server.handle().unwrap();
+        let join = std::thread::spawn(move || server.run());
+
+        let (status, body) = crate::client::get(addr, "/stats").unwrap();
+        assert_eq!(status, 200);
+        let mut doc = biochip_json::parse(&body).unwrap();
+        if let Json::Object(pairs) = &mut doc {
+            pairs.retain(|(key, _)| key != "latency");
+        }
+        let mut leaves = Vec::new();
+        leaf_paths(&doc, "", &mut leaves);
+        let table: Vec<&str> = STAT_FAMILIES
+            .iter()
+            .flat_map(|family| family.series.iter().map(|&(_, path)| path))
+            .collect();
+        let missing: Vec<&String> = leaves
+            .iter()
+            .filter(|leaf| !table.contains(&leaf.as_str()))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "{} /stats leaves have no /metrics series: {missing:?}",
+            missing.len()
+        );
+        for path in &table {
+            assert!(
+                leaves.iter().any(|leaf| leaf == path),
+                "{path} is no /stats leaf"
+            );
+        }
+
+        let (status, metrics) = crate::client::get(addr, "/metrics").unwrap();
+        assert_eq!(status, 200);
+        for family in STAT_FAMILIES {
+            let header = format!("# TYPE {} {}\n", family.name, family.kind);
+            assert!(metrics.contains(&header), "missing {header:?}");
+            for &(label, path) in family.series {
+                let series = match (family.label, path) {
+                    ("", _) => format!("\n{} ", family.name),
+                    (key, "pool.busy_seconds") => format!("\n{}{{{key}=\"0\"}} ", family.name),
+                    (key, _) => format!("\n{}{{{key}=\"{label}\"}} ", family.name),
+                };
+                assert!(metrics.contains(&series), "no {series:?} line for {path}");
+            }
+        }
+        handle.stop();
+        join.join().unwrap();
     }
 
     #[test]

@@ -26,10 +26,10 @@ use biochip_synth::{
     StageReuse, SynthesisConfig, SynthesisFlow, SynthesisOutcome,
 };
 
-/// Assay sizes of the edit pool (mirrors the parallel-determinism suite:
-/// fast in debug CI, varied enough to cover direct, store and fetch
-/// routing). Every size is above the default ILP threshold or paired with
-/// the forced heuristic scheduler, so scheduling is deterministic.
+/// Assay sizes of the edit pool: small enough that the suite stays fast in
+/// debug builds, varied enough to cover direct, store and fetch routing.
+/// Every size is above the default ILP threshold or paired with the forced
+/// heuristic scheduler, so scheduling is deterministic.
 const CASE_SIZES: [usize; 8] = [5, 9, 14, 7, 18, 11, 22, 16];
 
 fn case_config(case: u64) -> (RandomAssayConfig, SynthesisConfig) {

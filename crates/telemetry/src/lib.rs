@@ -40,7 +40,7 @@ mod metrics;
 mod spans;
 
 pub use export::chrome_trace_json;
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
+pub use metrics::{Counter, FamilyWriter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use spans::{
     drain, enabled, instant, set_enabled, span, with_collection, SpanEvent, SpanGuard, SpanKind,
 };

@@ -322,44 +322,31 @@ impl Registry {
                 Handle::Gauge(_) => "gauge",
                 Handle::Histogram(_) => "histogram",
             };
-            out.push_str(&format!("# HELP {name} {}\n", first.help));
-            out.push_str(&format!("# TYPE {name} {kind}\n"));
+            let mut family = FamilyWriter::new(&mut out, name, kind, first.help);
             for e in &group {
+                let labels: Vec<(&str, &str)> =
+                    e.labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
                 match &e.handle {
-                    Handle::Counter(c) => {
-                        out.push_str(&series_line(name, &e.labels, None, c.get() as f64));
-                    }
-                    Handle::Gauge(g) => {
-                        out.push_str(&series_line(name, &e.labels, None, g.get() as f64));
-                    }
+                    Handle::Counter(c) => family.sample("", &labels, c.get() as f64),
+                    Handle::Gauge(g) => family.sample("", &labels, g.get() as f64),
                     Handle::Histogram(h) => {
                         let snap = h.snapshot();
                         let mut cumulative = 0u64;
                         for (i, &c) in snap.counts.iter().enumerate() {
                             cumulative += c;
                             let le = match snap.bounds.get(i) {
-                                Some(b) => format_f64(*b),
+                                Some(b) => format_value(*b),
                                 None => "+Inf".to_owned(),
                             };
-                            out.push_str(&series_line(
-                                &format!("{name}_bucket"),
-                                &e.labels,
-                                Some(("le", &le)),
-                                cumulative as f64,
-                            ));
+                            let bucket: Vec<(&str, &str)> = labels
+                                .iter()
+                                .copied()
+                                .chain([("le", le.as_str())])
+                                .collect();
+                            family.sample("_bucket", &bucket, cumulative as f64);
                         }
-                        out.push_str(&series_line(
-                            &format!("{name}_sum"),
-                            &e.labels,
-                            None,
-                            snap.sum_seconds,
-                        ));
-                        out.push_str(&series_line(
-                            &format!("{name}_count"),
-                            &e.labels,
-                            None,
-                            cumulative as f64,
-                        ));
+                        family.sample("_sum", &labels, snap.sum_seconds);
+                        family.sample("_count", &labels, cumulative as f64);
                     }
                 }
             }
@@ -372,38 +359,52 @@ fn own_labels(labels: &[(&'static str, &str)]) -> Vec<(&'static str, String)> {
     labels.iter().map(|(k, v)| (*k, (*v).to_owned())).collect()
 }
 
-fn format_f64(v: f64) -> String {
-    // `Display` for f64 prints the shortest decimal that round-trips.
-    format!("{v}")
+/// Writes one metric family in the Prometheus text exposition format
+/// (version 0.0.4): the `# HELP`/`# TYPE` header on creation, then one line
+/// per [`FamilyWriter::sample`]. [`Registry::prometheus_text`] renders
+/// through it, and so can any caller exposing values it keeps elsewhere.
+#[derive(Debug)]
+pub struct FamilyWriter<'a> {
+    out: &'a mut String,
+    name: &'a str,
 }
 
-fn series_line(
-    name: &str,
-    labels: &[(&'static str, String)],
-    extra: Option<(&str, &str)>,
-    value: f64,
-) -> String {
-    let mut line = String::from(name);
-    if !labels.is_empty() || extra.is_some() {
-        line.push('{');
-        let mut first = true;
-        for (k, v) in labels {
-            if !first {
-                line.push(',');
-            }
-            first = false;
-            line.push_str(&format!("{k}=\"{}\"", escape_label(v)));
-        }
-        if let Some((k, v)) = extra {
-            if !first {
-                line.push(',');
-            }
-            line.push_str(&format!("{k}=\"{}\"", escape_label(v)));
-        }
-        line.push('}');
+impl<'a> FamilyWriter<'a> {
+    /// Appends the header of family `name` of type `kind` (`counter`,
+    /// `gauge` or `histogram`) to `out`.
+    pub fn new(out: &'a mut String, name: &'a str, kind: &str, help: &str) -> Self {
+        let help = help.replace('\\', "\\\\").replace('\n', "\\n");
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+        FamilyWriter { out, name }
     }
-    line.push_str(&format!(" {}\n", format_f64(value)));
-    line
+
+    /// Appends one sample: the family name plus `suffix` (`""`, or
+    /// `_bucket`/`_sum`/`_count` under a histogram), the label set with
+    /// escaped values, and `value`.
+    pub fn sample(&mut self, suffix: &str, labels: &[(&str, &str)], value: f64) {
+        let out = &mut *self.out;
+        out.push_str(self.name);
+        out.push_str(suffix);
+        for (i, (k, v)) in labels.iter().enumerate() {
+            out.push(if i == 0 { '{' } else { ',' });
+            out.push_str(&format!("{k}=\"{}\"", escape_label(v)));
+        }
+        if !labels.is_empty() {
+            out.push('}');
+        }
+        out.push_str(&format!(" {}\n", format_value(value)));
+    }
+}
+
+/// The exposition value format: `Display` prints the shortest decimal that
+/// round-trips; non-finite values use Prometheus' spellings.
+fn format_value(v: f64) -> String {
+    match v {
+        f64::INFINITY => "+Inf".to_owned(),
+        f64::NEG_INFINITY => "-Inf".to_owned(),
+        v if v.is_nan() => "NaN".to_owned(),
+        v => format!("{v}"),
+    }
 }
 
 fn escape_label(v: &str) -> String {
@@ -441,6 +442,21 @@ mod tests {
         assert!(text.contains("depth 17"));
         // One header per metric name, not per series.
         assert_eq!(text.matches("# TYPE reqs_total").count(), 1);
+    }
+
+    #[test]
+    fn family_writer_escapes_labels_and_spells_non_finite_values() {
+        let mut out = String::new();
+        let mut family = FamilyWriter::new(&mut out, "x", "gauge", "a \\ b\nc");
+        family.sample("", &[], 1.5);
+        family.sample("", &[("k", "q\"\\\n"), ("j", "v")], f64::NAN);
+        family.sample("_sum", &[], f64::INFINITY);
+        family.sample("_sum", &[], f64::NEG_INFINITY);
+        assert_eq!(
+            out,
+            "# HELP x a \\\\ b\\nc\n# TYPE x gauge\nx 1.5\n\
+             x{k=\"q\\\"\\\\\\n\",j=\"v\"} NaN\nx_sum +Inf\nx_sum -Inf\n"
+        );
     }
 
     #[test]

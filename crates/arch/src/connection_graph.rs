@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Serialize};
 
 use crate::error::ArchError;
 use crate::grid::{ConnectionGrid, GridEdgeId, NodeId};

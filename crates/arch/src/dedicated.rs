@@ -8,7 +8,7 @@
 //! prolonging the assay. This module provides the valve-cost model; the
 //! port-queueing execution model lives in `biochip-sim`.
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Serialize};
 
 /// A dedicated storage unit with a fixed number of storage cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -1,7 +1,7 @@
 //! The connection grid: nodes (devices or switches) and orthogonal channel
 //! segments (edges).
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node in the connection grid.

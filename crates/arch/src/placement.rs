@@ -13,9 +13,9 @@
 //! of recomputing the full `O(devices²)` [`Placement::weighted_cost`] per
 //! step.
 
+use biochip_json::{Deserialize, Json, JsonError, Serialize};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use biochip_schedule::DeviceId;
 
@@ -60,16 +60,16 @@ impl Default for PlacementOptions {
     }
 }
 
-impl serde::Deserialize for PlacementOptions {
-    fn from_json(value: &serde::Json) -> Result<Self, serde::JsonError> {
+impl Deserialize for PlacementOptions {
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
         // Documents written while multi-start annealing existed may carry
         // `starts`. One start is the chain this placer runs; any other
         // count asked for a placement it can no longer produce.
         if let Some(raw) = value.get("starts") {
-            let starts: usize = serde::Deserialize::from_json(raw)
-                .map_err(|e| serde::JsonError::new(format!("field `starts`: {e}")))?;
+            let starts: usize = Deserialize::from_json(raw)
+                .map_err(|e| JsonError::new(format!("field `starts`: {e}")))?;
             if starts != 1 {
-                return Err(serde::JsonError::new(format!(
+                return Err(JsonError::new(format!(
                     "field `starts`: multi-start placement is no longer supported \
                      (got {starts}); remove the field or set it to 1"
                 )));
@@ -82,7 +82,7 @@ impl serde::Deserialize for PlacementOptions {
             // Absent in pre-warm-start documents: warm adoption is safe by
             // construction (exact-input gate), so it defaults on.
             warm_start: match value.get("warm_start") {
-                Some(raw) => serde::Deserialize::from_json(raw)?,
+                Some(raw) => Deserialize::from_json(raw)?,
                 None => true,
             },
         })

@@ -14,7 +14,7 @@
 //! router asks the calendar for feasible windows instead of probing blind
 //! candidate start times.
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Serialize};
 
 use biochip_assay::Seconds;
 

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Serialize};
 
 use biochip_schedule::{Schedule, ScheduleProblem};
 use biochip_telemetry as telemetry;

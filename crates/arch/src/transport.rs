@@ -7,7 +7,7 @@
 //! finishes (freeing the device), rests there, and is *fetched* to the
 //! consumer just in time.
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Serialize};
 use std::fmt;
 
 use biochip_assay::{OpId, Seconds};

@@ -1,6 +1,6 @@
 //! The sequencing graph data structure.
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Json, JsonError, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
@@ -93,8 +93,8 @@ pub struct SequencingGraph {
 // edges) surface as clean errors instead of corrupting invariants and
 // panicking later.
 impl Serialize for SequencingGraph {
-    fn to_json(&self) -> serde::Json {
-        serde::Json::object([
+    fn to_json(&self) -> Json {
+        Json::object([
             ("name", self.name.to_json()),
             ("operations", self.operations.to_json()),
             ("edges", self.edges.to_json()),
@@ -103,7 +103,7 @@ impl Serialize for SequencingGraph {
 }
 
 impl Deserialize for SequencingGraph {
-    fn from_json(value: &serde::Json) -> Result<Self, serde::JsonError> {
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
         let name: String = value.field("name")?;
         let operations: Vec<Operation> = value.field("operations")?;
         let edges: Vec<DependencyEdge> = value.field("edges")?;
@@ -114,7 +114,7 @@ impl Deserialize for SequencingGraph {
         for edge in edges {
             graph
                 .add_dependency(edge.parent, edge.child)
-                .map_err(|e| serde::JsonError::new(format!("invalid edge {edge:?}: {e}")))?;
+                .map_err(|e| JsonError::new(format!("invalid edge {edge:?}: {e}")))?;
         }
         Ok(graph)
     }

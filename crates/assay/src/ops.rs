@@ -1,6 +1,6 @@
 //! Operation kinds and per-operation metadata.
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::Seconds;

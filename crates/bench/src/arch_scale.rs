@@ -20,6 +20,7 @@
 
 use std::time::Instant;
 
+use biochip_json::{Deserialize, Serialize};
 use biochip_synth::arch::{extract_transport_tasks, ArchitectureSynthesizer, SynthesisOptions};
 use biochip_synth::assay::random::{self, RandomAssayConfig};
 use biochip_synth::schedule::{ListScheduler, ScheduleProblem, Scheduler, SchedulingStrategy};
@@ -31,7 +32,7 @@ pub const DEFAULT_ARCH_SIZES: &[usize] = &[100, 1_000, 10_000];
 pub const DEFAULT_ARCH_MIXERS: usize = 8;
 
 /// One row of the architectural scale sweep.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArchScaleRow {
     /// Sweep assay label (scale-family generator, `-scaled` suffix as in
     /// `BENCH_scale.json`).
@@ -72,27 +73,6 @@ pub struct ArchScaleRow {
     /// Commit stage: tasks committed past their schedule deadline.
     pub postponed_tasks: usize,
 }
-
-biochip_json::impl_json_struct!(ArchScaleRow {
-    assay,
-    operations,
-    mixers,
-    status,
-    transport_tasks,
-    peak_storage,
-    arch_seconds,
-    routed_tasks_per_sec,
-    grid,
-    used_edges,
-    valves,
-    peak_calendar,
-    grids_tried,
-    windows_tried,
-    path_searches,
-    nodes_expanded,
-    segments_priced,
-    postponed_tasks,
-});
 
 /// Runs the architectural scale sweep over the given assay sizes.
 ///

@@ -37,6 +37,7 @@ pub use serve_bench::{
 
 use std::fmt;
 
+use biochip_json::{Deserialize, Serialize};
 use biochip_synth::assay::{library, SequencingGraph};
 use biochip_synth::{FlowError, SchedulerChoice, SynthesisConfig, SynthesisFlow, SynthesisReport};
 
@@ -134,7 +135,7 @@ pub fn bench_commit() -> String {
 /// and track the perf trajectory across commits. I/O failures are reported
 /// to stderr but do not abort the run — the printed tables remain the
 /// primary output.
-pub fn write_bench_json<T: biochip_json::Serialize>(name: &str, value: &T) {
+pub fn write_bench_json<T: Serialize>(name: &str, value: &T) {
     let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let envelope = biochip_json::Json::object([
         (
@@ -174,7 +175,7 @@ pub fn measure<T>(name: &str, runs: usize, mut f: impl FnMut() -> T) -> f64 {
     let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
     let max = samples.iter().copied().fold(0.0f64, f64::max);
     println!("bench {name}: mean {mean:.4}s (min {min:.4}s, max {max:.4}s) over {runs} runs");
-    #[derive(Debug)]
+    #[derive(Debug, Serialize)]
     struct Sample {
         name: String,
         runs: usize,
@@ -182,13 +183,6 @@ pub fn measure<T>(name: &str, runs: usize, mut f: impl FnMut() -> T) -> f64 {
         min_seconds: f64,
         max_seconds: f64,
     }
-    biochip_json::impl_json_struct!(Sample {
-        name,
-        runs,
-        mean_seconds,
-        min_seconds,
-        max_seconds
-    });
     write_bench_json(
         &format!("bench_{name}"),
         &Sample {
@@ -301,7 +295,7 @@ pub fn fig8_rows() -> Vec<(String, f64, f64)> {
 }
 
 /// One row of the Fig. 9 comparison (with vs. without storage optimization).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig9Row {
     /// Assay name.
     pub assay: String,
@@ -314,14 +308,6 @@ pub struct Fig9Row {
     /// Valves (baseline / optimized).
     pub valves: (usize, usize),
 }
-
-biochip_json::impl_json_struct!(Fig9Row {
-    assay,
-    execution_baseline,
-    execution_optimized,
-    edges,
-    valves,
-});
 
 /// Fig. 9: RA30, IVD and PCR synthesized from a makespan-only schedule and
 /// from a storage-optimized schedule.

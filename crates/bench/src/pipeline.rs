@@ -17,6 +17,7 @@
 
 use std::time::Instant;
 
+use biochip_json::{Deserialize, Serialize};
 use biochip_synth::assay::library;
 use biochip_synth::{SynthesisConfig, SynthesisFlow};
 use biochip_telemetry as telemetry;
@@ -28,7 +29,7 @@ use crate::BenchError;
 pub const DEFAULT_PIPELINE_ASSAYS: &[&str] = &["RA1K", "RA10K"];
 
 /// One row of the pipeline sweep: one assay, cold.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineRow {
     /// Assay name.
     pub assay: String,
@@ -62,22 +63,6 @@ pub struct PipelineRow {
     /// Grid attempts the synthesizer needed.
     pub grids_tried: usize,
 }
-
-biochip_json::impl_json_struct!(PipelineRow {
-    assay,
-    operations,
-    schedule_seconds,
-    place_seconds,
-    route_seconds,
-    window_select_seconds,
-    path_search_seconds,
-    commit_seconds,
-    layout_seconds,
-    replay_seconds,
-    total_seconds,
-    output_key,
-    grids_tried,
-});
 
 /// Sums the durations of all complete spans named `name`.
 fn span_seconds(events: &[telemetry::SpanEvent], name: &str) -> f64 {

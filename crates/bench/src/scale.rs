@@ -14,6 +14,7 @@
 
 use std::time::Instant;
 
+use biochip_json::{Deserialize, Serialize};
 use biochip_synth::assay::random::{self, RandomAssayConfig};
 use biochip_synth::schedule::{ListScheduler, ScheduleProblem, Scheduler, SchedulingStrategy};
 
@@ -25,7 +26,7 @@ pub const DEFAULT_SCALE_SIZES: &[usize] = &[100, 1_000, 10_000];
 pub const DEFAULT_SCALE_MIXERS: usize = 8;
 
 /// One row of the scale sweep: one assay size under one strategy.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScaleRow {
     /// Sweep assay label (e.g. `RA10000-scaled`). The `-scaled` suffix
     /// marks the `RandomAssayConfig::scaled` generator: the size-100 sweep
@@ -52,19 +53,6 @@ pub struct ScaleRow {
     /// Maximum number of concurrently stored samples.
     pub peak_storage: usize,
 }
-
-biochip_json::impl_json_struct!(ScaleRow {
-    assay,
-    operations,
-    edges,
-    mixers,
-    strategy,
-    schedule_seconds,
-    ops_per_second,
-    makespan,
-    total_storage_time,
-    peak_storage,
-});
 
 fn strategy_name(strategy: SchedulingStrategy) -> &'static str {
     match strategy {

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use biochip_json::impl_json_struct;
+use biochip_json::{Deserialize, Serialize};
 use biochip_synth::arch::Architecture;
 use biochip_synth::layout::PhysicalDesign;
 use biochip_synth::schedule::{Schedule, ScheduleProblem};
@@ -19,7 +19,7 @@ use biochip_synth::{SynthesisConfig, SynthesisOutcome, SynthesisReport};
 use crate::CliError;
 
 /// Wall-clock runtimes of the stages executed so far, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct StageTimings {
     /// Scheduling runtime.
     pub scheduling: Duration,
@@ -29,18 +29,12 @@ pub struct StageTimings {
     pub layout: Duration,
 }
 
-impl_json_struct!(StageTimings {
-    scheduling,
-    architecture,
-    layout
-});
-
 /// Snapshot of the pipeline after some prefix of stages has run.
 ///
 /// Every stage command deserializes the document, checks that the stages it
 /// needs are present, and appends its own results. The `schema` field guards
 /// against feeding a document from an incompatible future format version.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PipelineState {
     /// Format version tag, currently [`PipelineState::SCHEMA`].
     pub schema: String,
@@ -66,20 +60,6 @@ pub struct PipelineState {
     /// The Table-2-style summary row.
     pub report: Option<SynthesisReport>,
 }
-
-impl_json_struct!(PipelineState {
-    schema,
-    assay,
-    config,
-    timings,
-    problem,
-    schedule,
-    architecture,
-    layout,
-    execution,
-    dedicated_baseline,
-    report,
-});
 
 impl PipelineState {
     /// The current schema tag written into every document.

@@ -3,9 +3,10 @@
 //! The build environment of this workspace is fully offline, so the usual
 //! `serde`/`serde_json` pair is not available. This crate is the in-repo
 //! substitute: a [`Json`] value type with a strict parser and compact/pretty
-//! printers, plus serde-style [`Serialize`]/[`Deserialize`] traits and the
-//! [`impl_json_struct!`]/[`impl_json_enum!`] macros that stand in for
-//! `#[derive(Serialize, Deserialize)]` on the workspace's core types.
+//! printers, plus serde-style [`Serialize`]/[`Deserialize`] traits. As in
+//! serde, the same names also import the `#[derive(Serialize, Deserialize)]`
+//! macros (from the in-repo `serde_derive` crate), so one `use` line brings
+//! in both the traits and their derives.
 //!
 //! Every pipeline stage (assay → schedule → architecture → layout →
 //! execution report) serializes through this crate, which defines the
@@ -14,17 +15,17 @@
 //! # Example
 //!
 //! ```
-//! use biochip_json::{from_str, to_string_pretty, Deserialize, Json, Serialize};
+//! use biochip_json::{from_str, to_string_pretty, Deserialize, Serialize};
 //!
-//! #[derive(Debug, PartialEq)]
+//! #[derive(Debug, PartialEq, Serialize, Deserialize)]
 //! struct Point {
 //!     x: u64,
 //!     y: u64,
 //! }
-//! biochip_json::impl_json_struct!(Point { x, y });
 //!
 //! let p = Point { x: 3, y: 4 };
 //! let text = to_string_pretty(&p);
+//! assert_eq!(text, "{\n  \"x\": 3,\n  \"y\": 4\n}\n");
 //! let back: Point = from_str(&text)?;
 //! assert_eq!(p, back);
 //! # Ok::<(), biochip_json::JsonError>(())
@@ -43,6 +44,7 @@ pub use canonical::{
     canonical_hash, canonicalize, chain_key, content_key, content_key_hex, key_hex,
 };
 pub use parse::parse;
+pub use serde_derive::{Deserialize, Serialize};
 pub use traits::{Deserialize, Serialize};
 pub use value::{Json, JsonError};
 

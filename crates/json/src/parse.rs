@@ -253,9 +253,12 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.error("invalid number"))?;
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| self.error("number out of range"))
+        // `f64::from_str` rounds an overflowing literal to infinity instead
+        // of failing, and JSON has no spelling for infinity to print it back.
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Number(n)),
+            _ => Err(self.error("number out of range")),
+        }
     }
 }
 
@@ -294,6 +297,16 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "01", "\"\\x\"", "1 2", "nul"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn overflowing_numbers_are_rejected() {
+        for bad in ["1e999", "-1e999", "[1e400]"] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.to_string().contains("out of range"), "{bad:?}: {err}");
+        }
+        // Underflow is not an error: the value rounds to zero.
+        assert_eq!(parse("1e-999").unwrap(), Json::Number(0.0));
     }
 
     #[test]

@@ -7,8 +7,11 @@ use crate::{Json, JsonError};
 
 /// Types that can render themselves as a [`Json`] value.
 ///
-/// The in-repo stand-in for `serde::Serialize`; implement it with
-/// [`crate::impl_json_struct!`] / [`crate::impl_json_enum!`] where possible.
+/// The in-repo stand-in for serde's trait of the same name. Structs and
+/// fieldless enums get it from `#[derive(Serialize)]`: a named-field struct
+/// becomes an object keyed by field name in declaration order, a newtype its
+/// inner value, another tuple struct an array, a unit struct `null` and an
+/// enum its variant name. Implement it by hand only for another shape.
 pub trait Serialize {
     /// Converts `self` into a JSON value.
     fn to_json(&self) -> Json;
@@ -16,7 +19,11 @@ pub trait Serialize {
 
 /// Types that can be rebuilt from a [`Json`] value.
 ///
-/// The in-repo stand-in for `serde::Deserialize`.
+/// The in-repo stand-in for serde's trait of the same name, derived with
+/// `#[derive(Deserialize)]` for the shapes [`Serialize`] lists. A derived
+/// impl reports a missing field or an unknown variant by name. Implement it
+/// by hand for another shape, or to keep loading documents written before a
+/// field existed.
 pub trait Deserialize: Sized {
     /// Rebuilds a value from JSON.
     ///
@@ -287,113 +294,10 @@ impl Deserialize for Duration {
     }
 }
 
-/// Implements [`Serialize`]/[`Deserialize`] for a struct, mapping each listed
-/// field to a same-named JSON object key — the stand-in for
-/// `#[derive(Serialize, Deserialize)]`.
-///
-/// Works wherever the expanding crate can name the fields, so crates use it
-/// on their own private-field types.
-#[macro_export]
-macro_rules! impl_json_struct {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::Serialize for $ty {
-            fn to_json(&self) -> $crate::Json {
-                $crate::Json::object([
-                    $((stringify!($field), $crate::Serialize::to_json(&self.$field)),)+
-                ])
-            }
-        }
-
-        impl $crate::Deserialize for $ty {
-            fn from_json(value: &$crate::Json) -> Result<Self, $crate::JsonError> {
-                Ok(Self {
-                    $($field: value.field(stringify!($field))?,)+
-                })
-            }
-        }
-    };
-}
-
-/// Implements [`Serialize`]/[`Deserialize`] for a fieldless enum as its
-/// variant name string.
-#[macro_export]
-macro_rules! impl_json_enum {
-    ($ty:ty { $($variant:ident),+ $(,)? }) => {
-        impl $crate::Serialize for $ty {
-            fn to_json(&self) -> $crate::Json {
-                let name = match self {
-                    $(<$ty>::$variant => stringify!($variant),)+
-                };
-                $crate::Json::String(name.to_owned())
-            }
-        }
-
-        impl $crate::Deserialize for $ty {
-            fn from_json(value: &$crate::Json) -> Result<Self, $crate::JsonError> {
-                match value.expect_str()? {
-                    $(s if s == stringify!($variant) => Ok(<$ty>::$variant),)+
-                    other => Err($crate::JsonError::new(format!(
-                        "unknown {} variant `{other}`", stringify!($ty)
-                    ))),
-                }
-            }
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{from_str, to_string};
-
-    #[derive(Debug, PartialEq)]
-    struct Sample {
-        name: String,
-        count: usize,
-        ratio: f64,
-        tags: Vec<String>,
-        parent: Option<u64>,
-    }
-    crate::impl_json_struct!(Sample {
-        name,
-        count,
-        ratio,
-        tags,
-        parent
-    });
-
-    #[derive(Debug, PartialEq)]
-    enum Mode {
-        Fast,
-        Thorough,
-    }
-    crate::impl_json_enum!(Mode { Fast, Thorough });
-
-    #[test]
-    fn struct_macro_round_trips() {
-        let s = Sample {
-            name: "pcr".into(),
-            count: 7,
-            ratio: 0.25,
-            tags: vec!["a".into(), "b".into()],
-            parent: None,
-        };
-        let back: Sample = from_str(&to_string(&s)).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn enum_macro_round_trips() {
-        assert_eq!(to_string(&Mode::Thorough), "\"Thorough\"");
-        assert_eq!(from_str::<Mode>("\"Fast\"").unwrap(), Mode::Fast);
-        assert!(from_str::<Mode>("\"Slow\"").is_err());
-    }
-
-    #[test]
-    fn missing_field_errors_name_the_field() {
-        let err = from_str::<Sample>(r#"{"name":"x"}"#).unwrap_err();
-        assert!(err.to_string().contains("count"), "{err}");
-    }
 
     #[test]
     fn integer_bounds_are_checked() {

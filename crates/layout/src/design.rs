@@ -1,6 +1,6 @@
 //! Physical-design data types.
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Serialize};
 
 use biochip_arch::{DeviceId, GridEdgeId};
 

@@ -19,11 +19,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use biochip_json::impl_json_struct;
+use biochip_json::{Deserialize, Serialize};
 
 /// Aggregate counters of a [`ShardedPool`], for `GET /stats` and
 /// `GET /metrics`.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct PoolStats {
     /// Worker threads (= shards).
     pub workers: usize,
@@ -40,15 +40,6 @@ pub struct PoolStats {
     /// blocked on its empty queue accrues nothing.
     pub busy_seconds: Vec<f64>,
 }
-
-impl_json_struct!(PoolStats {
-    workers,
-    submitted,
-    completed,
-    panicked,
-    queued,
-    busy_seconds
-});
 
 struct Shard<T> {
     queue: Mutex<VecDeque<T>>,

@@ -85,26 +85,6 @@ pub trait Scheduler {
     fn schedule(&self, problem: &ScheduleProblem) -> Result<Schedule, ScheduleError>;
 }
 
-/// Schedules with the engine best suited to the problem size: the exact ILP
-/// for assays with at most `ilp_threshold` device operations, the
-/// storage-aware list scheduler otherwise.
-///
-/// # Errors
-///
-/// Propagates errors from the selected engine.
-pub fn schedule_auto(
-    problem: &ScheduleProblem,
-    ilp_threshold: usize,
-    time_limit: std::time::Duration,
-) -> Result<Schedule, ScheduleError> {
-    if problem.graph().device_operations().len() <= ilp_threshold {
-        let options = biochip_ilp::SolverOptions::default().with_time_limit(time_limit);
-        IlpScheduler::new(options).schedule(problem)
-    } else {
-        ListScheduler::new(SchedulingStrategy::StorageAware).schedule(problem)
-    }
-}
-
 /// Default pure transportation time `u_c` between two devices, in seconds.
 ///
 /// The paper treats this as a small constant compared to operation durations.

@@ -1,6 +1,6 @@
 //! Scheduling problem definition: assay, device inventory, weights.
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Serialize};
 use std::fmt;
 
 use biochip_assay::{DeviceClass, OpId, Seconds, SequencingGraph};

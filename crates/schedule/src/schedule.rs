@@ -1,6 +1,6 @@
 //! Schedule representation, metrics and validation.
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Serialize};
 use std::fmt;
 
 use biochip_assay::{OpId, Seconds};

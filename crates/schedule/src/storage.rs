@@ -7,7 +7,7 @@
 //! the scheduling objective and the channel-caching decisions of the
 //! architectural synthesis.
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Serialize};
 
 use biochip_assay::{OpId, Seconds};
 

@@ -11,20 +11,22 @@
 //! * fieldless enums → the variant name as a JSON string.
 //!
 //! Generic types and `#[serde(...)]` attributes are rejected with a compile
-//! error. The generated impls target the traits re-exported by the in-repo
-//! `serde` facade (i.e. `biochip_json::{Serialize, Deserialize}`).
+//! error. The generated impls name `::biochip_json::{Serialize, Deserialize}`,
+//! and `biochip_json` re-exports these macros beside those traits, so
+//! callers depend on `biochip-json` alone and write
+//! `use biochip_json::{Deserialize, Serialize};`.
 
 #![forbid(unsafe_code)]
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// Derives `serde::Serialize` (the `biochip_json` flavour).
+/// Derives `biochip_json::Serialize`.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, Trait::Serialize)
 }
 
-/// Derives `serde::Deserialize` (the `biochip_json` flavour).
+/// Derives `biochip_json::Deserialize`.
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, Trait::Deserialize)
@@ -70,32 +72,35 @@ fn serialize_impl(item: &Item) -> String {
         Shape::Named(fields) => {
             let pairs: Vec<String> = fields
                 .iter()
-                .map(|f| format!("({f:?}, ::serde::Serialize::to_json(&self.{f}))"))
+                .map(|f| format!("({f:?}, ::biochip_json::Serialize::to_json(&self.{f}))"))
                 .collect();
-            format!("::serde::Json::object([{}])", pairs.join(", "))
+            format!("::biochip_json::Json::object([{}])", pairs.join(", "))
         }
-        Shape::Tuple(1) => "::serde::Serialize::to_json(&self.0)".to_owned(),
+        Shape::Tuple(1) => "::biochip_json::Serialize::to_json(&self.0)".to_owned(),
         Shape::Tuple(arity) => {
             let items: Vec<String> = (0..*arity)
-                .map(|i| format!("::serde::Serialize::to_json(&self.{i})"))
+                .map(|i| format!("::biochip_json::Serialize::to_json(&self.{i})"))
                 .collect();
-            format!("::serde::Json::Array(::std::vec![{}])", items.join(", "))
+            format!(
+                "::biochip_json::Json::Array(::std::vec![{}])",
+                items.join(", ")
+            )
         }
-        Shape::Unit => "::serde::Json::Null".to_owned(),
+        Shape::Unit => "::biochip_json::Json::Null".to_owned(),
         Shape::Enum(variants) => {
             let arms: Vec<String> = variants
                 .iter()
                 .map(|v| format!("{name}::{v} => {v:?},"))
                 .collect();
             format!(
-                "::serde::Json::String(::std::string::String::from(match self {{ {} }}))",
+                "::biochip_json::Json::String(::std::string::String::from(match self {{ {} }}))",
                 arms.join(" ")
             )
         }
     };
     format!(
-        "impl ::serde::Serialize for {name} {{\n\
-             fn to_json(&self) -> ::serde::Json {{ {body} }}\n\
+        "impl ::biochip_json::Serialize for {name} {{\n\
+             fn to_json(&self) -> ::biochip_json::Json {{ {body} }}\n\
          }}"
     )
 }
@@ -114,16 +119,17 @@ fn deserialize_impl(item: &Item) -> String {
             )
         }
         Shape::Tuple(1) => {
-            "::core::result::Result::Ok(Self(::serde::Deserialize::from_json(value)?))".to_owned()
+            "::core::result::Result::Ok(Self(::biochip_json::Deserialize::from_json(value)?))"
+                .to_owned()
         }
         Shape::Tuple(arity) => {
             let inits: Vec<String> = (0..*arity)
-                .map(|i| format!("::serde::Deserialize::from_json(&items[{i}])?"))
+                .map(|i| format!("::biochip_json::Deserialize::from_json(&items[{i}])?"))
                 .collect();
             format!(
                 "let items = value.expect_array()?;\n\
                  if items.len() != {arity} {{\n\
-                     return ::core::result::Result::Err(::serde::JsonError::new(\
+                     return ::core::result::Result::Err(::biochip_json::JsonError::new(\
                          ::std::format!(\"expected {arity}-element array for {name}\")));\n\
                  }}\n\
                  ::core::result::Result::Ok(Self({}))",
@@ -139,7 +145,7 @@ fn deserialize_impl(item: &Item) -> String {
             format!(
                 "match value.expect_str()? {{\n\
                      {}\n\
-                     other => ::core::result::Result::Err(::serde::JsonError::new(\
+                     other => ::core::result::Result::Err(::biochip_json::JsonError::new(\
                          ::std::format!(\"unknown {name} variant `{{other}}`\"))),\n\
                  }}",
                 arms.join("\n")
@@ -147,8 +153,8 @@ fn deserialize_impl(item: &Item) -> String {
         }
     };
     format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-             fn from_json(value: &::serde::Json) -> ::core::result::Result<Self, ::serde::JsonError> {{\n\
+        "impl ::biochip_json::Deserialize for {name} {{\n\
+             fn from_json(value: &::biochip_json::Json) -> ::core::result::Result<Self, ::biochip_json::JsonError> {{\n\
                  {body}\n\
              }}\n\
          }}"

@@ -33,13 +33,13 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use biochip_json::{impl_json_struct, Json, Serialize};
+use biochip_json::{Deserialize, Json, Serialize};
 use biochip_store::{DiskStore, Journal, StoreStats};
 
 use crate::jobs::{JobState, ResultDoc};
 
 /// Journal and recovery counters for `/stats`, `/metrics` and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct JournalStats {
     /// Whether a journal is attached (`false` without `--data-dir`).
     pub enabled: bool,
@@ -62,18 +62,6 @@ pub struct JournalStats {
     /// submission payload on record) and were marked failed.
     pub lost: u64,
 }
-
-impl_json_struct!(JournalStats {
-    enabled,
-    available,
-    appends,
-    append_errors,
-    replayed,
-    corrupt_lines,
-    recovered,
-    requeued,
-    lost,
-});
 
 /// One job reconstructed from the journal at startup.
 pub(crate) enum RecoveredJob {

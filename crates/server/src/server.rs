@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use biochip_json::{impl_json_struct, Json, Serialize};
+use biochip_json::{Deserialize, Json, Serialize};
 use biochip_pool::{PoolStats, ShardedPool};
 use biochip_synth::assay::library;
 use biochip_synth::schedule::ScheduleProblem;
@@ -66,7 +66,7 @@ impl Default for ServeOptions {
 }
 
 /// Admission-control counters and limits, part of `GET /stats`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct AdmissionStats {
     /// Cold submissions answered `429` because the queue was full.
     pub rejected_queue_full: usize,
@@ -80,16 +80,8 @@ pub struct AdmissionStats {
     pub max_inflight_per_client: usize,
 }
 
-impl_json_struct!(AdmissionStats {
-    rejected_queue_full,
-    rejected_client_quota,
-    rejected_draining,
-    max_queue_depth,
-    max_inflight_per_client,
-});
-
 /// Aggregate service counters, the body of `GET /stats`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeStats {
     /// Seconds since the server started.
     pub uptime_seconds: f64,
@@ -131,27 +123,6 @@ pub struct ServeStats {
     /// Whether the server is draining (shutting down gracefully).
     pub draining: bool,
 }
-
-impl_json_struct!(ServeStats {
-    uptime_seconds,
-    jobs_accepted,
-    jobs_queued,
-    jobs_running,
-    jobs_done,
-    jobs_failed,
-    jobs_cancelled,
-    jobs_cached,
-    jobs_warm_started,
-    warm_placements_reused,
-    warm_tasks_replayed,
-    cache,
-    stage_cache,
-    pool,
-    store,
-    journal,
-    admission,
-    draining,
-});
 
 /// Request-latency bucket bounds in seconds. Most of the API answers from
 /// in-memory state in well under a millisecond; the long tail is `POST
@@ -1937,5 +1908,26 @@ mod tests {
     fn named_problem_reports_unresolvable_names_instead_of_panicking() {
         let err = named_problem("NOT-A-REAL-ASSAY", &SynthesisConfig::default()).unwrap_err();
         assert!(err.contains("NOT-A-REAL-ASSAY"), "{err}");
+    }
+
+    #[test]
+    fn a_config_with_an_overflowing_number_is_a_bad_request() {
+        // Accepted, `1e999` would parse to infinity and journal as `null`,
+        // which the config loader then refuses on recovery.
+        let config = SynthesisConfig {
+            alpha: 123_456.0,
+            ..SynthesisConfig::default()
+        };
+        let body = format!(
+            r#"{{"assay": "PCR", "config": {}}}"#,
+            biochip_json::to_string(&config)
+        );
+        assert!(parse_submission(body.as_bytes()).is_ok());
+        let overflowing = body.replace(r#""alpha":123456"#, r#""alpha":1e999"#);
+        assert_ne!(overflowing, body);
+        let err = parse_submission(overflowing.as_bytes())
+            .err()
+            .expect("an overflowing number is refused");
+        assert!(err.contains("out of range"), "{err}");
     }
 }

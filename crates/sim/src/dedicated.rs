@@ -7,7 +7,7 @@
 //! module quantifies that prolongation and the unit's valve cost, giving the
 //! baseline side of the paper's Fig. 10.
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Serialize};
 
 use biochip_arch::{dedicated_storage_valves, DedicatedStorageUnit};
 use biochip_assay::Seconds;

@@ -1,6 +1,6 @@
 //! Replay of a synthesized chip against its schedule.
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Json, JsonError, Serialize};
 
 use biochip_arch::Architecture;
 use biochip_assay::Seconds;
@@ -36,7 +36,7 @@ pub struct ExecutionReport {
 /// the surrounding pipeline document is unchanged (`biochip-pipeline/v1`),
 /// so a missing `clamped` key must read as `false`, not as a shape error.
 impl Deserialize for ExecutionReport {
-    fn from_json(value: &serde::Json) -> Result<Self, serde::JsonError> {
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
         Ok(ExecutionReport {
             schedule_makespan: value.field("schedule_makespan")?,
             effective_makespan: value.field("effective_makespan")?,
@@ -46,7 +46,7 @@ impl Deserialize for ExecutionReport {
             peak_channel_storage: value.field("peak_channel_storage")?,
             clamped: match value.get("clamped") {
                 Some(raw) => Deserialize::from_json(raw)
-                    .map_err(|e| serde::JsonError::new(format!("field `clamped`: {e}")))?,
+                    .map_err(|e| JsonError::new(format!("field `clamped`: {e}")))?,
                 None => false,
             },
         })
@@ -275,8 +275,8 @@ mod tests {
     fn legacy_reports_without_the_clamped_field_still_deserialize() {
         // The shape serialized by the previous binary: same pipeline schema
         // tag, no `clamped` key.
-        let number = |n: u64| serde::Json::Number(n as f64);
-        let legacy = serde::Json::object([
+        let number = |n: u64| biochip_json::Json::Number(n as f64);
+        let legacy = biochip_json::Json::object([
             ("schedule_makespan", number(100)),
             ("effective_makespan", number(110)),
             ("transports", number(3)),

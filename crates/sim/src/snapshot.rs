@@ -2,7 +2,7 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Serialize};
 
 use biochip_arch::{Architecture, GridEdgeId, TransportKind};
 use biochip_assay::Seconds;

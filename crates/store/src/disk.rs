@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::SystemTime;
 
-use biochip_json::{impl_json_struct, Json};
+use biochip_json::{Deserialize, Json, Serialize};
 
 /// Envelope schema tag; bump on incompatible layout changes. Entries carrying
 /// any other tag are quarantined as corrupt rather than misread.
@@ -33,7 +33,7 @@ pub const STORE_SCHEMA: &str = "biochip-store/v1";
 const MAX_KEY_LEN: usize = 64;
 
 /// Counters and gauges for `/stats`, `/metrics` and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StoreStats {
     /// Whether a store is attached at all (`false` for the placeholder
     /// rendered when `serve` runs without `--data-dir`).
@@ -57,19 +57,6 @@ pub struct StoreStats {
     /// Writes that failed and were dropped (store flips to unavailable).
     pub write_errors: u64,
 }
-
-impl_json_struct!(StoreStats {
-    enabled,
-    available,
-    entries,
-    bytes,
-    capacity_bytes,
-    hits,
-    misses,
-    corrupt,
-    evictions,
-    write_errors,
-});
 
 /// Per-entry index record.
 struct Entry {

@@ -1,6 +1,6 @@
 //! The end-to-end synthesis pipeline.
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -419,29 +419,24 @@ impl SynthesisFlow {
     /// Returns [`FlowError::Schedule`] when the problem is malformed or the
     /// selected engine fails.
     pub fn schedule(&self, problem: &ScheduleProblem) -> Result<Schedule, FlowError> {
-        let ops = problem.graph().device_operations().len();
-        let schedule = match self.config.scheduler {
-            SchedulerChoice::Auto => {
-                if ops <= self.config.ilp_threshold {
-                    IlpScheduler::new(
-                        biochip_ilp::SolverOptions::default()
-                            .with_time_limit(self.config.ilp_time_limit),
-                    )
-                    .schedule(problem)?
-                } else {
-                    ListScheduler::new(SchedulingStrategy::StorageAware).schedule(problem)?
-                }
+        let list_strategy = match self.config.scheduler {
+            SchedulerChoice::Auto
+                if problem.graph().device_operations().len() <= self.config.ilp_threshold =>
+            {
+                None
             }
-            SchedulerChoice::Ilp => IlpScheduler::new(
+            SchedulerChoice::Ilp => None,
+            SchedulerChoice::Auto | SchedulerChoice::StorageAware => {
+                Some(SchedulingStrategy::StorageAware)
+            }
+            SchedulerChoice::MakespanOnly => Some(SchedulingStrategy::MakespanOnly),
+        };
+        let schedule = match list_strategy {
+            Some(strategy) => ListScheduler::new(strategy).schedule(problem)?,
+            None => IlpScheduler::new(
                 biochip_ilp::SolverOptions::default().with_time_limit(self.config.ilp_time_limit),
             )
             .schedule(problem)?,
-            SchedulerChoice::StorageAware => {
-                ListScheduler::new(SchedulingStrategy::StorageAware).schedule(problem)?
-            }
-            SchedulerChoice::MakespanOnly => {
-                ListScheduler::new(SchedulingStrategy::MakespanOnly).schedule(problem)?
-            }
         };
         Ok(schedule)
     }
@@ -733,7 +728,7 @@ mod tests {
         // other start count is refused by name.
         use biochip_json::Json;
         let with_legacy_fields = |starts: f64| {
-            let mut json = serde::Serialize::to_json(&SynthesisConfig::default());
+            let mut json = biochip_json::Serialize::to_json(&SynthesisConfig::default());
             let Json::Object(config) = &mut json else {
                 unreachable!("a config serializes as an object")
             };
@@ -755,17 +750,18 @@ mod tests {
             json
         };
 
-        let plain = serde::Serialize::to_json(&SynthesisConfig::default());
-        let back: SynthesisConfig = serde::Deserialize::from_json(&plain).unwrap();
+        let plain = biochip_json::Serialize::to_json(&SynthesisConfig::default());
+        let back: SynthesisConfig = biochip_json::Deserialize::from_json(&plain).unwrap();
         assert_eq!(back, SynthesisConfig::default());
 
         let back: SynthesisConfig =
-            serde::Deserialize::from_json(&with_legacy_fields(1.0)).unwrap();
+            biochip_json::Deserialize::from_json(&with_legacy_fields(1.0)).unwrap();
         assert_eq!(back, SynthesisConfig::default());
 
-        let err = <SynthesisConfig as serde::Deserialize>::from_json(&with_legacy_fields(4.0))
-            .unwrap_err()
-            .to_string();
+        let err =
+            <SynthesisConfig as biochip_json::Deserialize>::from_json(&with_legacy_fields(4.0))
+                .unwrap_err()
+                .to_string();
         assert!(
             err.contains("field `synthesis`: field `placement`: field `starts`"),
             "{err}"

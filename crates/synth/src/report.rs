@@ -1,6 +1,6 @@
 //! Table-2-style summary of one synthesis run.
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use biochip_json::{Deserialize, Serialize};
 
 use biochip_arch::{Architecture, OracleCache, SynthesisOptions};
 use biochip_schedule::{Schedule, ScheduleProblem};

@@ -1,6 +1,6 @@
 //! Self-contained observability: spans, metrics, and trace exporters.
 //!
-//! Like the workspace's other offline stand-ins (`biochip-json`, `serde`,
+//! Like the workspace's other offline stand-ins (`biochip-json`, `serde_derive`,
 //! `rand`), this crate has no external dependencies. It provides:
 //!
 //! - **Spans** — scoped RAII guards feeding a global, lock-striped
